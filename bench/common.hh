@@ -62,14 +62,15 @@ namespace bench
  *               RSS/RETA steering over a synthetic flow population).
  *   --rx-queues=N use N RX rings on the shared port (0 keeps the
  *               legacy one-port-per-NF layout).
- *   --sharded-jobs=N drive each system through the sharded
- *               conservative-window executor with N worker threads
- *               (results stay bit-identical to the unsharded build).
+ *   --sharded-jobs=N run the split per-core + NIC + uncore domains
+ *               on N executor worker threads (results stay
+ *               bit-identical to one worker). Requires the two link
+ *               options below; without them the run fails.
  *   --link-pcie-ns=X / --link-mesh-ns=X model the NIC→LLC (PCIe) and
  *               core/MLC→LLC (mesh) couplings as latency links of X ns
- *               (both must be set together; see LinkLatencyConfig).
- *               The ShardPlan then splits into per-core + NIC + uncore
- *               groups instead of one fused group.
+ *               (both must be set together; see LinkLatencyConfig),
+ *               splitting the machine into per-core, NIC and uncore
+ *               domains.
  *   --scaled-only (perf_smoke) run only the scaled split-plan
  *               measurement; used by the CI scaling job.
  *   --micro-reps=N (perf_smoke) repeat each micro N times after one
@@ -100,9 +101,9 @@ struct BenchOptions
 };
 
 /**
- * Apply the --cores / --rx-queues / --sharded-jobs topology options
- * to one config. --cores implies a multi-queue port (rxQueues =
- * cores) unless --rx-queues overrides it.
+ * Apply the --cores / --rx-queues / --sharded-jobs / --link-*-ns
+ * topology options to one config. --cores implies a multi-queue port
+ * (rxQueues = cores) unless --rx-queues overrides it.
  */
 inline void
 applyTopology(harness::ExperimentConfig &cfg, const BenchOptions &opts)
@@ -189,8 +190,8 @@ parseBenchOptions(int argc, char **argv)
                 "(implies --rx-queues=N)\n"
                 "  --rx-queues=N multi-queue RX rings with RSS "
                 "steering (0 = legacy layout)\n"
-                "  --sharded-jobs=N run each system on the sharded "
-                "executor with N threads\n"
+                "  --sharded-jobs=N run the split domains on N "
+                "threads (needs --link-*-ns)\n"
                 "  --link-pcie-ns=X model the NIC-to-LLC coupling as "
                 "an X ns latency link\n"
                 "  --link-mesh-ns=X model the core-to-LLC coupling as "
@@ -665,10 +666,18 @@ ratio(std::uint64_t ours, std::uint64_t base, int precision = 2)
         precision);
 }
 
-/** Print the Table I configuration echo every bench starts with. */
+/**
+ * Print the Table I configuration echo every bench starts with: the
+ * configuration actually run, i.e.\ @p base with the @p opts topology
+ * applied and the core count TestSystem builds.
+ */
 inline void
-printConfigEcho(const harness::ExperimentConfig &cfg)
+printConfigEcho(const harness::ExperimentConfig &base,
+                const BenchOptions &opts = {})
 {
+    harness::ExperimentConfig cfg = base;
+    applyTopology(cfg, opts);
+    cfg.hier.numCores = cfg.coreCount();
     std::printf("# Table I config: %u-core aarch64-class @ %.1f GHz, "
                 "L1D %lluKB/%u, MLC %lluKB/%u, LLC %lluKB/%u "
                 "(%u DDIO ways), DDR4 %.0fGB/s\n",

@@ -10,13 +10,11 @@
  *  - cache-hierarchy streaming-miss and PCIe-write throughput,
  *  - the headline simulated-packets-per-wall-second rate of a default
  *    single-burst run,
- *  - a 32-core / 32-RX-queue scaled run, unsharded vs sharded, with a
- *    byte-identical determinism check (stats JSON + event trace) of
- *    the sharded executor across worker counts,
- *  - the same scaled machine on the SPLIT shard plan (modelled PCIe
- *    and mesh link latencies, so per-core + NIC + uncore run in
- *    separate conflict groups), timed with --sharded-jobs workers and
- *    byte-checked across worker counts,
+ *  - a 32-core / 32-RX-queue scaled run on the synchronous model,
+ *  - the same scaled machine on the split plan (modelled PCIe and
+ *    mesh link latencies, so per-core, NIC and uncore run as separate
+ *    executor domains), timed with --sharded-jobs workers and
+ *    byte-checked (stats JSON + event trace) across worker counts,
  *  - a fig10-style config sweep run serially and on a thread pool,
  *    with a bit-identical-results determinism check.
  *
@@ -256,9 +254,9 @@ scaledConfig()
 }
 
 /**
- * The scaled machine on the split shard plan: modelled PCIe and mesh
- * link latencies break the fused conflict group into per-core + NIC +
- * uncore groups, so --sharded-jobs workers can genuinely overlap.
+ * The scaled machine on the split plan: modelled PCIe and mesh link
+ * latencies split it into per-core, NIC and uncore domains, so
+ * --sharded-jobs workers can genuinely overlap.
  */
 harness::ExperimentConfig
 splitScaledConfig(const bench::BenchOptions &opts)
@@ -474,37 +472,16 @@ main(int argc, char **argv)
                     single.perSec(), single.eventsPerPacket());
     }
 
-    // Scaled machine: the paper's 32-core shape. Timed unsharded and
-    // sharded (fused plan), plus a byte-identity check of the sharded
-    // executor across worker counts (stats JSON + full event trace).
-    PacketRate scaledPlain, scaledShardedRate;
-    bool shardedDeterministic = true;
+    // Scaled machine: the paper's 32-core shape on the synchronous
+    // model.
+    PacketRate scaledPlain;
     if (full) {
         auto scaled = scaledConfig();
         if (opts.seed)
             scaled.seed = *opts.seed;
         scaledPlain = timedBurst(scaled);
-
-        auto scaledSharded = scaled;
-        scaledSharded.sharded = true;
-        scaledSharded.shardJobs = std::max(2u, std::min(hwThreads, 4u));
-        scaledShardedRate = timedBurst(scaledSharded);
-
-        std::string statsJ1, statsJ2, traceJ1, traceJ2;
-        scaledSharded.shardJobs = 1;
-        timedBurst(scaledSharded, &statsJ1, &traceJ1);
-        scaledSharded.shardJobs = 2;
-        timedBurst(scaledSharded, &statsJ2, &traceJ2);
-        shardedDeterministic = !statsJ1.empty() &&
-                               statsJ1 == statsJ2 && traceJ1 == traceJ2;
-
-        std::printf("scaled 32-core: unsharded %.0f packets/wall-sec, "
-                    "sharded %.0f packets/wall-sec\n",
-                    scaledPlain.perSec(), scaledShardedRate.perSec());
-        std::printf("sharded deterministic: %s\n",
-                    shardedDeterministic
-                        ? "yes (stats+trace byte-identical across jobs)"
-                        : "NO");
+        std::printf("scaled 32-core: %.0f packets/wall-sec\n",
+                    scaledPlain.perSec());
     }
 
     // Tenant-mix headline: simulated per-tenant tail latency of the
@@ -524,9 +501,9 @@ main(int argc, char **argv)
                     (unsigned long long)tenantIoca.reallocations);
     }
 
-    // The same machine on the split shard plan: modelled link
-    // latencies give every core, the NIC, and the uncore their own
-    // conflict group, so --sharded-jobs is a real parallelism knob.
+    // The same machine on the split plan: modelled link latencies give
+    // every core, the NIC, and the uncore their own executor domain,
+    // so --sharded-jobs is a real parallelism knob.
     const unsigned splitJobs =
         opts.shardedJobs ? opts.shardedJobs
                          : std::max(2u, std::min(hwThreads, 4u));
@@ -622,7 +599,7 @@ main(int argc, char **argv)
         w.field("flows", std::uint64_t(1u << 20));
         // The headline rate follows the requested mode: the split
         // plan under an explicit --sharded-jobs (what the CI scaling
-        // job sweeps), the legacy fused unsharded run otherwise (the
+        // job sweeps), the synchronous run otherwise (the
         // committed-trajectory baseline).
         const bool headlineSplit = opts.shardedJobs || !full;
         const PacketRate &headline =
@@ -631,11 +608,6 @@ main(int argc, char **argv)
         w.field("packets_per_wall_sec", headline.perSec());
         w.field("events", headline.events);
         w.field("events_per_packet", headline.eventsPerPacket());
-        if (full) {
-            w.field("sharded_packets_per_wall_sec",
-                    scaledShardedRate.perSec());
-            w.field("sharded_deterministic", shardedDeterministic);
-        }
         w.beginObject("split");
         w.field("link_pcie_ns", split.pcieNs);
         w.field("link_mesh_ns", split.meshNs);
@@ -691,11 +663,8 @@ main(int argc, char **argv)
     }
     std::printf("\nwrote %s\n", opts.jsonPath.c_str());
 
-    // Determinism (sweep, fused sharded, and split plan) is a hard
-    // failure; the parallel speedup is judged only where the host can
-    // actually run threads in parallel.
-    return (deterministic && shardedDeterministic &&
-            split.deterministic)
-               ? 0
-               : 1;
+    // Determinism (sweep and split plan) is a hard failure; the
+    // parallel speedup is judged only where the host can actually run
+    // threads in parallel.
+    return (deterministic && split.deterministic) ? 0 : 1;
 }

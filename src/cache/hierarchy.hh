@@ -145,7 +145,7 @@ class MemoryHierarchy : public sim::SimObject
      * points apply them on the receiving side. Strict state ownership
      * holds throughout — core-side code touches only l1s[c]/mlcs[c]
      * (and per-cache counters), uncore-side code only LLC, directory,
-     * DRAM and hierarchy-level counters — so conflict groups can run
+     * DRAM and hierarchy-level counters — so the domains can run
      * on separate host threads.
      *
      * Relaxations versus the synchronous model (all deterministic):

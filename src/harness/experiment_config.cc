@@ -80,8 +80,11 @@ ExperimentConfig::summary() const
                       tenantPartitionName(tenantPartition));
         out += buf;
     }
-    if (sharded) {
-        std::snprintf(buf, sizeof(buf), ", sharded(j%u)", shardJobs);
+    if (links.split()) {
+        std::snprintf(buf, sizeof(buf),
+                      ", links pcie=%gns mesh=%gns, executor j%u",
+                      links.pcieNs, links.meshNs,
+                      sharded ? shardJobs : 1u);
         out += buf;
     }
     return out;

@@ -95,15 +95,15 @@ struct TenantSpec
 /**
  * Modelled interconnect-link latencies (paper Sec. III machine model).
  *
- * Zero (the default) keeps the legacy fully-synchronous coupling: every
- * cross-domain interaction is a same-tick call and the ShardPlan fuses
- * the whole machine into one conflict group. Nonzero latencies make the
- * NIC→LLC (PCIe) and core/MLC→LLC (mesh hop) couplings message-passing
- * links: the affected interactions travel over sim::shard::LinkChannel
- * edges with these delays, the plan splits into per-core + NIC + uncore
- * groups, and the ShardedExecutor window derives from the minimum link
- * latency. Both latencies must be set together (a split plan needs
- * every cross-group coupling to carry latency).
+ * Zero (the default) keeps the fully-synchronous coupling: every
+ * cross-domain interaction is a same-tick call on one event queue.
+ * Nonzero latencies make the NIC→LLC (PCIe) and core/MLC→LLC (mesh
+ * hop) couplings message-passing links: the affected interactions
+ * travel over sim::shard::LinkChannel edges with these delays, the
+ * machine splits into per-core, NIC and uncore domains, and the
+ * ShardedExecutor window is the minimum link latency. Both latencies
+ * must be set together (every cross-domain coupling must carry
+ * latency).
  */
 struct LinkLatencyConfig
 {
@@ -205,19 +205,17 @@ struct ExperimentConfig
 
     /** @{ Sharded execution (src/sim/shard). */
 
-    /** Drive the run through a ShardedExecutor over the domain plan. */
+    /**
+     * Run the split domains on shardJobs host threads. Requires split
+     * links: without them there is one synchronously coupled domain,
+     * and TestSystem rejects the config.
+     */
     bool sharded = false;
 
-    /** Host threads for conflict-group execution. */
+    /** Host threads for domain execution. */
     unsigned shardJobs = 1;
 
-    /**
-     * Conservative window width, ns, used when the resolved plan has
-     * no cross-group async edge to derive it from.
-     */
-    double shardWindowNs = 1000.0;
-
-    /** Modelled interconnect latencies (zero = legacy sync coupling). */
+    /** Modelled interconnect latencies (zero = sync coupling). */
     LinkLatencyConfig links;
     /** @} */
 
@@ -279,6 +277,18 @@ struct ExperimentConfig
 
     /** True when the run uses the one-port multi-queue layout. */
     bool multiQueue() const { return rxQueues != 0; }
+
+    /**
+     * Cores the built system has (TestSystem overwrites
+     * hier.numCores with this): all tenant cores in tenant mode,
+     * otherwise the NF cores plus the antagonist's.
+     */
+    std::uint32_t
+    coreCount() const
+    {
+        return tenantMode() ? tenantCores()
+                            : numNfs + (withAntagonist ? 1 : 0);
+    }
 
     /** Effective packets per burst (per generator). */
     std::uint32_t

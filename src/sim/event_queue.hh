@@ -24,10 +24,9 @@
  *    implementation, kept for the differential scheduler tests and
  *    the nightly backend comparison (IDIO_EVENTQ=heap).
  *
- * Fused same-tick dispatch: runUntil()/runSameTick() drain all events
- * of the current tick in one pass (in seq order) without re-entering
- * the scheduler between them. runOne() still fires exactly one event
- * for the sharded executor's fine-grained interleave.
+ * Fused same-tick dispatch: runUntil() drains all events of the
+ * current tick in one pass (in seq order) without re-entering the
+ * scheduler between them. runOne() still fires exactly one event.
  *
  * One-shot callbacks are stored in pooled OneShotEvent nodes with
  * inline callable storage: scheduling one performs no heap allocation
@@ -338,8 +337,7 @@ class EventQueue
      *
      * With no such event, behaves like an empty runUntil(limit):
      * advances the time base to @p limit (unless limit == maxTick) and
-     * returns false. The sharded executor uses this to interleave
-     * fused domains deterministically by (tick, domain-id).
+     * returns false.
      *
      * @return true iff an event fired.
      */
@@ -375,31 +373,6 @@ class EventQueue
         }
         fireOneOverflow();
         return true;
-    }
-
-    /**
-     * Batched variant of runOne(): fire EVERY event of the earliest
-     * eligible tick (including chained same-tick schedules) in one
-     * fused pass, equivalent to calling runOne(limit) until the tick
-     * is exhausted. With no eligible event, behaves like the runOne()
-     * no-op (advances the time base to @p limit unless maxTick).
-     *
-     * @return number of events processed (0 when nothing was eligible).
-     */
-    std::uint64_t
-    runSameTick(Tick limit)
-    {
-        if (!minValid) {
-            cachedMin = computeMin();
-            minValid = true;
-        }
-        if (cachedMin > limit || livePending == 0) {
-            if (curTick < limit && limit != maxTick)
-                advanceTo(limit);
-            return 0;
-        }
-        advanceTo(cachedMin);
-        return fireCurTick();
     }
 
     /** Run until the queue drains completely. */

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
 #include "sim/shard/link.hh"
 
 namespace sim
@@ -24,118 +25,24 @@ ShardedExecutor::~ShardedExecutor()
     stopWorkers();
 }
 
-DomainId
-ShardedExecutor::addRecord(const std::string &name,
-                           std::uint32_t group,
-                           std::unique_ptr<EventQueue> ownedQueue,
-                           EventQueue *external)
-{
-    DomainRec rec;
-    rec.name = name;
-    rec.group = group;
-    rec.owned = std::move(ownedQueue);
-    rec.queue = rec.owned ? rec.owned.get() : external;
-    doms.push_back(std::move(rec));
-    return static_cast<DomainId>(doms.size() - 1);
-}
-
-DomainId
-ShardedExecutor::addDomain(const std::string &name, std::uint32_t group)
-{
-    return addRecord(name, group, std::make_unique<EventQueue>(),
-                     nullptr);
-}
-
-DomainId
-ShardedExecutor::addExternalDomain(const std::string &name,
-                                   EventQueue &queue,
-                                   std::uint32_t group)
-{
-    return addRecord(name, group, nullptr, &queue);
-}
-
 void
-ShardedExecutor::setGroup(DomainId d, std::uint32_t group)
+ShardedExecutor::addExternalDomain(EventQueue &queue)
 {
-    if (d >= doms.size())
-        fatal("setGroup on unknown shard domain %u", d);
-    doms[d].group = group;
-}
-
-void
-ShardedExecutor::setWindow(Tick w)
-{
-    if (w == 0)
-        fatal("shard window must be at least one tick");
-    windowTicks = w;
-}
-
-std::vector<std::vector<DomainId>>
-ShardedExecutor::groupTable() const
-{
-    std::uint32_t maxGroup = 0;
-    for (const DomainRec &d : doms)
-        maxGroup = std::max(maxGroup, d.group);
-    std::vector<std::vector<DomainId>> table(maxGroup + 1);
-    for (DomainId d = 0; d < doms.size(); ++d)
-        table[doms[d].group].push_back(d);
-    table.erase(std::remove_if(table.begin(), table.end(),
-                               [](const std::vector<DomainId> &g) {
-                                   return g.empty();
-                               }),
-                table.end());
-    return table;
-}
-
-std::uint64_t
-ShardedExecutor::runGroup(const std::vector<DomainId> &members,
-                          Tick windowEnd)
-{
-    if (members.size() == 1)
-        return doms[members.front()].queue->runUntil(windowEnd);
-
-    // Fused domains interleave by always firing the globally earliest
-    // event, ties broken by domain id — deterministic regardless of
-    // which host thread runs the group. The winning domain drains its
-    // whole tick in one fused pass (runSameTick) instead of paying a
-    // scheduler round-trip per event: equivalent to the event-by-event
-    // interleave because events fired mid-drain can only schedule into
-    // their OWN queue (cross-domain traffic goes through post(), which
-    // cannot target the current window), so no same-tick work can
-    // appear in a lower-indexed member while the winner drains.
-    std::uint64_t processed = 0;
-    for (;;) {
-        Tick best = maxTick;
-        DomainId bestDom = invalidDomain;
-        for (DomainId d : members) {
-            const Tick t = doms[d].queue->peekNextTick();
-            if (t < best) {
-                best = t;
-                bestDom = d;
-            }
-        }
-        if (bestDom == invalidDomain || best > windowEnd)
-            break;
-        processed += doms[bestDom].queue->runSameTick(windowEnd);
-    }
-    // The drain loop only advances queues to their fired ticks; bring
-    // every member's time base to the window end (no-op runOne).
-    for (DomainId d : members)
-        doms[d].queue->runOne(windowEnd);
-    return processed;
+    doms.push_back(&queue);
 }
 
 void
 ShardedExecutor::registerChannel(LinkChannelBase *ch)
 {
     channels.push_back(ch);
+    windowTicks = std::min(windowTicks, ch->latency());
 }
 
 void
 ShardedExecutor::flushChannels()
 {
     for (LinkChannelBase *ch : channels)
-        ch->flush();
+        nCrossPosts += ch->flush();
 }
 
 void
@@ -158,14 +65,14 @@ ShardedExecutor::stopWorkers()
 }
 
 void
-ShardedExecutor::claimGroups()
+ShardedExecutor::claimDomains()
 {
     for (;;) {
-        const std::size_t g =
+        const std::size_t d =
             poolNext.fetch_add(1, std::memory_order_relaxed);
-        if (g >= poolGroups->size())
+        if (d >= doms.size())
             return;
-        poolCounts[g] = runGroup((*poolGroups)[g], poolWindowEnd);
+        poolCounts[d] = doms[d]->runUntil(poolWindowEnd);
     }
 }
 
@@ -184,72 +91,9 @@ ShardedExecutor::workerLoop()
             }
         }
         seen = poolGen.load(std::memory_order_acquire);
-        claimGroups();
+        claimDomains();
         poolDone.fetch_add(1, std::memory_order_release);
     }
-}
-
-void
-ShardedExecutor::mergeStagedPosts()
-{
-    struct Item
-    {
-        Tick when;
-        DomainId src;
-        std::uint64_t seq;
-        StagedPost *post;
-    };
-    std::vector<Item> items;
-    for (DomainId d = 0; d < doms.size(); ++d) {
-        for (StagedPost &p : doms[d].outbox)
-            items.push_back(Item{p.when, d, p.seq, &p});
-    }
-    if (items.empty())
-        return;
-
-    // (tick, source domain, per-source staging order): a total order
-    // that does not depend on which thread ran which group.
-    std::sort(items.begin(), items.end(),
-              [](const Item &a, const Item &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  return a.seq < b.seq;
-              });
-    // Whole-window batching: a run of consecutive posts with the same
-    // (tick, destination) becomes ONE scheduled event that replays the
-    // callbacks in order, so a burst of cross-domain deliveries pays a
-    // single scheduler insertion. Relative delivery order on the
-    // destination queue is unchanged — the batch occupies the position
-    // the first post of the run would have had, and the run was
-    // already consecutive in the merged order.
-    std::size_t i = 0;
-    while (i < items.size()) {
-        const Tick when = items[i].when;
-        const DomainId dst = items[i].post->dst;
-        std::size_t j = i + 1;
-        while (j < items.size() && items[j].when == when &&
-               items[j].post->dst == dst)
-            ++j;
-        if (j - i == 1) {
-            doms[dst].queue->schedule(when, std::move(items[i].post->fn));
-        } else {
-            std::vector<std::function<void()>> batch;
-            batch.reserve(j - i);
-            for (std::size_t k = i; k < j; ++k)
-                batch.push_back(std::move(items[k].post->fn));
-            doms[dst].queue->schedule(
-                when, [batch = std::move(batch)] {
-                    for (const std::function<void()> &fn : batch)
-                        fn();
-                });
-        }
-        nCrossPosts += j - i;
-        i = j;
-    }
-    for (DomainRec &d : doms)
-        d.outbox.clear();
 }
 
 std::uint64_t
@@ -258,27 +102,23 @@ ShardedExecutor::runUntil(Tick limit)
     if (doms.empty())
         fatal("ShardedExecutor::runUntil with no domains");
 
-    const std::vector<std::vector<DomainId>> groups = groupTable();
-
-    // Deliver posts/messages staged by setup code before the first
-    // window.
+    // Deliver messages staged by setup code before the first window.
     flushChannels();
-    mergeStagedPosts();
 
     std::uint64_t processed = 0;
     // Start from the furthest-advanced member; after a restore the
     // queues carry the checkpointed time base and we must not step
     // backwards.
     Tick base = 0;
-    for (const DomainRec &d : doms)
-        base = std::max(base, d.queue->now());
+    for (const EventQueue *q : doms)
+        base = std::max(base, q->now());
 
     while (base <= limit) {
         // Idle skip: nothing can fire before the earliest pending
         // event anywhere, so jump straight to it.
         Tick minNext = maxTick;
-        for (const DomainRec &d : doms)
-            minNext = std::min(minNext, d.queue->peekNextTick());
+        for (EventQueue *q : doms)
+            minNext = std::min(minNext, q->peekNextTick());
         if (minNext > limit)
             break;
         base = std::max(base, minNext);
@@ -287,26 +127,23 @@ ShardedExecutor::runUntil(Tick limit)
             (windowTicks >= maxTick - base)
                 ? limit
                 : std::min(base + windowTicks - 1, limit);
-        curWindowEnd = windowEnd;
-        inWindow = true;
 
-        if (groups.size() > 1 && nJobs > 1) {
-            // Hand the window to the persistent pool: each group is
+        if (doms.size() > 1 && nJobs > 1) {
+            // Hand the window to the persistent pool: each domain is
             // claimed off a shared index, and results land in
-            // per-group slots so the sum (and everything else) is
+            // per-domain slots so the sum (and everything else) is
             // independent of thread scheduling. The main thread
-            // claims groups alongside the workers.
+            // claims domains alongside the workers.
             if (workers.empty()) {
                 startWorkers(static_cast<unsigned>(std::min<std::size_t>(
-                    nJobs - 1, groups.size() - 1)));
+                    nJobs - 1, doms.size() - 1)));
             }
-            poolGroups = &groups;
             poolWindowEnd = windowEnd;
-            poolCounts.assign(groups.size(), 0);
+            poolCounts.assign(doms.size(), 0);
             poolNext.store(0, std::memory_order_relaxed);
             poolDone.store(0, std::memory_order_relaxed);
             poolGen.fetch_add(1, std::memory_order_release);
-            claimGroups();
+            claimDomains();
             unsigned spins = 0;
             while (poolDone.load(std::memory_order_acquire) !=
                    workers.size()) {
@@ -318,13 +155,11 @@ ShardedExecutor::runUntil(Tick limit)
             for (std::uint64_t c : poolCounts)
                 processed += c;
         } else {
-            for (const std::vector<DomainId> &g : groups)
-                processed += runGroup(g, windowEnd);
+            for (EventQueue *q : doms)
+                processed += q->runUntil(windowEnd);
         }
 
-        inWindow = false;
         flushChannels();
-        mergeStagedPosts();
         ++nWindows;
 
         if (windowEnd >= limit)
@@ -335,8 +170,8 @@ ShardedExecutor::runUntil(Tick limit)
     // Mirror runUntil(limit) semantics on every member: time base ends
     // at the limit even if a domain went idle early.
     if (limit != maxTick) {
-        for (DomainRec &d : doms)
-            d.queue->runOne(limit);
+        for (EventQueue *q : doms)
+            q->runOne(limit);
     }
     return processed;
 }

@@ -3,31 +3,24 @@
  * Conservative-window sharded event-queue executor.
  *
  * The ShardedExecutor advances a set of timing domains — each one an
- * EventQueue — in lockstep windows. Within one window, every conflict
- * group (see ShardPlan) runs independently: groups never share model
- * state inside a window, so they may execute on separate host threads.
- * Cross-domain interactions go through post(), which stages the
- * callback in the *source* domain's outbox; at the window barrier the
- * staged posts are merged into their target queues in a deterministic
- * (tick, source-domain-id, per-source-sequence) order, on one thread.
+ * EventQueue — in lockstep windows. Domains never share model state
+ * inside a window, so each one may run on its own host thread. All
+ * cross-domain traffic travels over registered LinkChannels: a send
+ * only appends to the channel's staging deque, and at the window
+ * barrier the executor flushes every channel (in registration order,
+ * on one thread), scheduling each message into its destination queue
+ * at sendTick + linkLatency.
  *
- * Determinism argument, in three pieces:
+ * The window is the minimum latency over the registered channels, so
+ * a delivery always lands in a later window than its send and no
+ * domain can have advanced past it. With no channel registered the
+ * domains are independent and one window spans the whole run.
  *
- *  1. Within a group, domains are interleaved by firing the globally
- *     earliest event, ties broken by domain id — a pure function of
- *     queue contents, independent of host threads.
- *  2. Across groups, no shared state is touched inside a window (posts
- *     only append to the source's own outbox), so group execution
- *     order is immaterial; the conservative window guarantees a post
- *     can only target ticks after the barrier, which post() enforces
- *     with a hard panic.
- *  3. The barrier merge sorts staged posts by a key that is itself
- *     deterministic, and assigns target-queue sequence numbers in that
- *     sorted order on a single thread.
- *
- * Hence the result is bit-identical for any worker count, including
- * the degenerate one-group case where the executor is just a chunked
- * runUntil over the single queue — byte-for-byte today's behavior.
+ * Determinism: inside a window every domain runs alone on its own
+ * queue, so domain execution order is immaterial; the barrier flush is
+ * single-threaded in a fixed order and assigns destination-queue
+ * sequence numbers in that order. Hence the result is bit-identical
+ * for any worker count.
  */
 
 #ifndef IDIO_SIM_SHARD_EXECUTOR_HH
@@ -35,15 +28,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
-#include "sim/shard/plan.hh"
 #include "sim/types.hh"
 
 namespace sim
@@ -61,76 +49,35 @@ class ShardedExecutor
 {
   public:
     /**
-     * @param jobs Host threads available for group execution. Groups
-     *             beyond the first only run concurrently when both
-     *             jobs > 1 and more than one conflict group exists.
+     * @param jobs Host threads available for domain execution; more
+     *             than one only helps with more than one domain.
      */
     explicit ShardedExecutor(unsigned jobs = 1);
     ShardedExecutor(const ShardedExecutor &) = delete;
     ShardedExecutor &operator=(const ShardedExecutor &) = delete;
     ~ShardedExecutor();
 
-    /** Add a domain backed by a queue the executor owns. */
-    DomainId addDomain(const std::string &name,
-                       std::uint32_t group = 0);
-
     /**
      * Add a domain backed by an externally owned queue (e.g.\ the
      * Simulation's queue, so existing SimObjects keep their time
      * base). The queue must outlive the executor.
      */
-    DomainId addExternalDomain(const std::string &name,
-                               EventQueue &queue,
-                               std::uint32_t group = 0);
-
-    /** Reassign a domain's conflict group (before running). */
-    void setGroup(DomainId d, std::uint32_t group);
-
-    /** Set the conservative window width in ticks (>= 1). */
-    void setWindow(Tick w);
-    Tick window() const { return windowTicks; }
-
-    unsigned jobs() const { return nJobs; }
-    std::size_t domains() const { return doms.size(); }
-    EventQueue &queue(DomainId d) { return *doms.at(d).queue; }
-    const std::string &domainName(DomainId d) const
-    {
-        return doms.at(d).name;
-    }
-
-    /**
-     * Stage a cross-domain event: @p fn runs in @p dst's queue at
-     * @p when. Must not target a tick inside the current window — the
-     * conservative contract — and panics if it does. Legal both from
-     * inside a window (the usual case: an event in src posts to dst)
-     * and outside (setup code priming domains before the first run).
-     */
-    template <typename F>
-    void
-    post(DomainId src, DomainId dst, Tick when, F &&fn)
-    {
-        if (src >= doms.size() || dst >= doms.size())
-            fatal("shard post with unknown domain (src %u, dst %u)",
-                  src, dst);
-        if (inWindow && when <= curWindowEnd)
-            panic("conservative window violated: domain '%s' posted "
-                  "to '%s' at tick %llu inside window ending %llu",
-                  doms[src].name.c_str(), doms[dst].name.c_str(),
-                  (unsigned long long)when,
-                  (unsigned long long)curWindowEnd);
-        DomainRec &s = doms[src];
-        s.outbox.push_back(StagedPost{when, s.postSeq++, dst,
-                                      std::function<void()>(
-                                          std::forward<F>(fn))});
-    }
+    void addExternalDomain(EventQueue &queue);
 
     /**
      * Register a link channel to be flushed at every window barrier
-     * (and before the first window of each run). Registration order is
-     * part of the deterministic barrier order; register channels in
+     * (and before the first window of each run). Its latency bounds
+     * the conservative window. Registration order is part of the
+     * deterministic barrier order; register channels in
      * model-construction order. The channel must outlive the executor.
      */
     void registerChannel(LinkChannelBase *ch);
+
+    /**
+     * Conservative window width in ticks: the minimum latency over the
+     * registered channels, maxTick with none registered.
+     */
+    Tick window() const { return windowTicks; }
 
     /**
      * Advance all domains to @p limit (inclusive, mirroring
@@ -143,42 +90,12 @@ class ShardedExecutor
 
     /** @{ Execution statistics. */
     std::uint64_t windowsRun() const { return nWindows; }
+
+    /** Link messages scheduled onto destination queues at barriers. */
     std::uint64_t crossPostsDelivered() const { return nCrossPosts; }
     /** @} */
 
   private:
-    struct StagedPost
-    {
-        Tick when;
-        std::uint64_t seq; // per-source staging order
-        DomainId dst;
-        std::function<void()> fn;
-    };
-
-    struct DomainRec
-    {
-        std::string name;
-        std::uint32_t group = 0;
-        EventQueue *queue = nullptr; // owned.get() or external
-        std::unique_ptr<EventQueue> owned;
-        std::vector<StagedPost> outbox;
-        std::uint64_t postSeq = 0;
-    };
-
-    DomainId addRecord(const std::string &name, std::uint32_t group,
-                       std::unique_ptr<EventQueue> ownedQueue,
-                       EventQueue *external);
-
-    /** Group membership table, ordered by group id then domain id. */
-    std::vector<std::vector<DomainId>> groupTable() const;
-
-    /** Run one group's members up to @p windowEnd; returns events. */
-    std::uint64_t runGroup(const std::vector<DomainId> &members,
-                           Tick windowEnd);
-
-    /** Barrier step: deliver staged posts in deterministic order. */
-    void mergeStagedPosts();
-
     /** Barrier step: flush registered channels in registration order. */
     void flushChannels();
 
@@ -187,17 +104,16 @@ class ShardedExecutor
      * (spin briefly, then yield) between windows; per-window thread
      * spawn would dominate at sub-microsecond windows. The main thread
      * participates as one worker, so the pool holds nJobs - 1 threads,
-     * started lazily at the first multi-group parallel window.
+     * started lazily at the first parallel window.
      */
     void startWorkers(unsigned count);
     void stopWorkers();
     void workerLoop();
-    void claimGroups();
+    void claimDomains();
 
     std::vector<std::thread> workers;
     std::atomic<std::uint64_t> poolGen{0};
     std::atomic<bool> poolStop{false};
-    const std::vector<std::vector<DomainId>> *poolGroups = nullptr;
     Tick poolWindowEnd = 0;
     std::atomic<std::size_t> poolNext{0};
     std::atomic<std::size_t> poolDone{0};
@@ -205,10 +121,8 @@ class ShardedExecutor
     /** @} */
 
     unsigned nJobs;
-    Tick windowTicks = oneUs;
-    bool inWindow = false;
-    Tick curWindowEnd = 0;
-    std::vector<DomainRec> doms;
+    Tick windowTicks = maxTick;
+    std::vector<EventQueue *> doms;
     std::vector<LinkChannelBase *> channels;
     std::uint64_t nWindows = 0;
     std::uint64_t nCrossPosts = 0;

@@ -2,8 +2,8 @@
  * @file
  * Latency-carrying cross-domain message channels.
  *
- * A LinkChannel is one directed edge of a split ShardPlan: a modelled
- * interconnect link (PCIe port, mesh hop) between a source timing
+ * A LinkChannel is one directed latency edge between timing domains: a
+ * modelled interconnect link (PCIe port, mesh hop) between a source
  * domain and a destination domain that live on different event queues.
  * The source domain calls send() during a conservative window, which
  * only appends to a single-producer staging deque — no cross-thread
@@ -11,10 +11,10 @@
  * barrier the ShardedExecutor flushes every registered channel (in
  * registration order, single-threaded): each staged message is
  * scheduled into the destination queue at sendTick + linkLatency and
- * moved to the in-flight deque. Because the executor window never
- * exceeds the minimum link latency, a delivery always lands in a later
- * window than its send — the barrier protocol guarantees the
- * destination has not advanced past the delivery tick.
+ * moved to the in-flight deque. Because the executor derives its
+ * window as the minimum registered link latency, a delivery always
+ * lands in a later window than its send — the barrier protocol
+ * guarantees the destination has not advanced past the delivery tick.
  *
  * Delivery order is FIFO per channel: the fixed latency makes delivery
  * ticks ascend with send ticks, and same-tick deliveries inherit the
@@ -73,8 +73,13 @@ class LinkChannelBase
     /**
      * Move every staged message onto the destination queue's schedule.
      * Called only at window barriers (single-threaded).
+     *
+     * @return number of messages scheduled.
      */
-    virtual void flush() = 0;
+    virtual std::size_t flush() = 0;
+
+    /** One-way link latency; bounds the executor's window. */
+    virtual Tick latency() const = 0;
 
     /** Messages staged but not yet flushed. */
     virtual std::size_t staged() const = 0;
@@ -96,9 +101,8 @@ class LinkChannel : public SimObject, public LinkChannelBase
      * @param srcQueue The sender domain's queue (supplies send ticks).
      * @param dstQueue The receiver domain's queue (deliveries land
      *        here).
-     * @param latency One-way link latency; must be at least the
-     *        executor's conservative window (the plan derives the
-     *        window as the minimum link latency, so it is).
+     * @param latency One-way link latency (nonzero); the executor
+     *        narrows its conservative window to it on registration.
      */
     LinkChannel(Simulation &simulation, const std::string &name,
                 const EventQueue &srcQueue, EventQueue &dstQueue,
@@ -112,7 +116,7 @@ class LinkChannel : public SimObject, public LinkChannelBase
     /** Receiver-side message handler (set once, at construction). */
     void setHandler(Handler h) { handler = std::move(h); }
 
-    Tick latency() const { return linkLatency; }
+    Tick latency() const override { return linkLatency; }
 
     /**
      * Stage a message for delivery at srcNow + latency. Called only
@@ -124,9 +128,10 @@ class LinkChannel : public SimObject, public LinkChannelBase
         stagedMsgs.push_back(Staged{srcQueue.now(), std::move(m)});
     }
 
-    void
+    std::size_t
     flush() override
     {
+        const std::size_t moved = stagedMsgs.size();
         std::size_t i = 0;
         while (i < stagedMsgs.size()) {
             const Tick at = stagedMsgs[i].sendTick + linkLatency;
@@ -143,6 +148,7 @@ class LinkChannel : public SimObject, public LinkChannelBase
             i = j;
         }
         stagedMsgs.clear();
+        return moved;
     }
 
     std::size_t staged() const override { return stagedMsgs.size(); }

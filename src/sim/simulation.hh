@@ -114,7 +114,7 @@ class Simulation
     /**
      * @{ Auxiliary per-domain event queues (sharded execution).
      *
-     * A split ShardPlan places each timing domain on its own queue; the
+     * Split-link mode places each timing domain on its own queue; the
      * harness creates them before constructing the domain's components
      * and the ShardedExecutor advances them under the conservative
      * window. Creation order is deterministic (model construction is),

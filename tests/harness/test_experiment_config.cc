@@ -58,6 +58,42 @@ TEST(ExperimentConfig, SummaryCoversTrafficKinds)
     EXPECT_NE(cfg.summary().find("external"), std::string::npos);
 }
 
+TEST(ExperimentConfig, SummaryEchoesLinksAndExecutorJobs)
+{
+    harness::ExperimentConfig cfg;
+    EXPECT_EQ(cfg.summary().find("links"), std::string::npos)
+        << "synchronous runs have no links to report";
+    cfg.links.pcieNs = 500.0;
+    cfg.links.meshNs = 250.0;
+    EXPECT_NE(cfg.summary().find("links pcie=500ns mesh=250ns, "
+                                 "executor j1"),
+              std::string::npos)
+        << cfg.summary();
+    cfg.sharded = true;
+    cfg.shardJobs = 4;
+    EXPECT_NE(cfg.summary().find("executor j4"), std::string::npos)
+        << cfg.summary();
+}
+
+TEST(ExperimentConfig, CoreCountMatchesBuiltSystem)
+{
+    harness::ExperimentConfig cfg;
+    cfg.numNfs = 4;
+    EXPECT_EQ(cfg.coreCount(), 4u);
+    cfg.withAntagonist = true;
+    EXPECT_EQ(cfg.coreCount(), 5u) << "the antagonist has its own core";
+    cfg.withAntagonist = false;
+    harness::TenantSpec rpc;
+    rpc.name = "rpc";
+    rpc.cores = 2;
+    harness::TenantSpec antag;
+    antag.name = "antag";
+    antag.cores = 1;
+    antag.antagonist = true;
+    cfg.tenants = {rpc, antag};
+    EXPECT_EQ(cfg.coreCount(), 3u) << "tenant mode counts every tenant";
+}
+
 TEST(HierarchyConfig, CycleConversions)
 {
     cache::HierarchyConfig cfg;

@@ -5,7 +5,7 @@
  * With LinkLatencyConfig set, the system decomposes into per-core,
  * NIC and uncore timing domains joined only by latency edges, and the
  * executor runs them under the conservative-window protocol. The
- * gates here are the ISSUE-level acceptance criteria: a split run
+ * gates here: a split run
  * processes traffic end to end, is byte-identical — Totals,
  * stats-registry JSON and packet-lifecycle trace — across shard-job
  * counts (and to the one-worker non-sharded executor run), and
@@ -100,9 +100,9 @@ TEST(SplitLinks, BurstIsFullyProcessedAcrossDomains)
 
 TEST(SplitLinks, RunIsByteIdenticalAcrossJobCounts)
 {
-    // The tentpole acceptance gate: the same split plan produces the
-    // same stats JSON and trace bytes whether the executor runs its
-    // conflict groups on 1 worker (non-sharded), 2 or 4.
+    // The same split plan produces the same stats JSON and trace
+    // bytes whether the executor runs its domains on 1 worker
+    // (non-sharded), 2 or 4.
     const auto base = splitConfig();
 
     const auto j0 = runTraced(base, "plain");
@@ -121,6 +121,28 @@ TEST(SplitLinks, RunIsByteIdenticalAcrossJobCounts)
     EXPECT_EQ(j4.totals, j0.totals);
     EXPECT_EQ(j4.stats, j0.stats);
     EXPECT_EQ(j4.trace, j0.trace);
+}
+
+TEST(SplitLinks, LinkMessagesAreCountedAcrossJobCounts)
+{
+    // The executor counts the link messages it moves at window
+    // barriers; like everything else it is independent of workers.
+    std::vector<std::uint64_t> msgs, windows;
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        auto cfg = splitConfig();
+        cfg.sharded = true;
+        cfg.shardJobs = jobs;
+        harness::TestSystem sys(cfg);
+        sys.start();
+        sys.runFor(2 * sim::oneMs);
+        msgs.push_back(sys.shardExecutor()->crossPostsDelivered());
+        windows.push_back(sys.shardExecutor()->windowsRun());
+    }
+    EXPECT_GT(msgs[0], 0u);
+    EXPECT_EQ(msgs[1], msgs[0]);
+    EXPECT_EQ(msgs[2], msgs[0]);
+    EXPECT_EQ(windows[1], windows[0]);
+    EXPECT_EQ(windows[2], windows[0]);
 }
 
 TEST(SplitLinks, LatencyChangesTimingButNotDelivery)
@@ -186,6 +208,19 @@ TEST(SplitLinksDeathTest, HalfConfiguredLinksAreRejected)
     cfg.links.meshNs = 0.0;
     EXPECT_EXIT(harness::TestSystem sys(cfg),
                 ::testing::ExitedWithCode(1), "link latencies");
+}
+
+TEST(SplitLinksDeathTest, ShardedWithoutLinksIsRejected)
+{
+    // Without link latencies the machine is one synchronously coupled
+    // domain: asking for parallel workers is a configuration error,
+    // not a silent serial run.
+    auto cfg = splitConfig();
+    cfg.links = harness::LinkLatencyConfig{};
+    cfg.sharded = true;
+    cfg.shardJobs = 2;
+    EXPECT_EXIT(harness::TestSystem sys(cfg),
+                ::testing::ExitedWithCode(1), "needs split links");
 }
 
 TEST(SplitLinksDeathTest, TransmittingNfIsRejected)

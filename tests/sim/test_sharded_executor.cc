@@ -1,141 +1,77 @@
 /**
  * @file
- * ShardPlan and ShardedExecutor tests.
+ * ShardedExecutor tests.
  *
  * The executor's contract is bit-identical results for any host
- * thread count; these tests pin each piece of the determinism
- * argument: single-domain equivalence with a plain runUntil, the
- * (tick, domain-id) interleave inside a fused group, the
- * (tick, source, sequence) cross-post merge, the conservative-window
- * panic, and identical event logs across jobs=1/2/4.
+ * thread count; these tests pin each piece of it: the window is the
+ * minimum registered link latency, a single-domain chunked run matches
+ * a plain runUntil, idle domains still reach the limit, and a
+ * ping-pong over two LinkChannels logs identical events and link
+ * message counts across jobs=1/2/4.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <memory>
 #include <vector>
 
+#include "ckpt/serializer.hh"
 #include "sim/shard/executor.hh"
-#include "sim/shard/plan.hh"
+#include "sim/shard/link.hh"
+#include "sim/simulation.hh"
 
 using sim::Tick;
-using sim::shard::DomainId;
 using sim::shard::ShardedExecutor;
-using sim::shard::ShardPlan;
 
 namespace
 {
 
-TEST(ShardPlan, UnconnectedDomainsGetOwnGroups)
+/** Minimal link payload: a hop counter. */
+struct Hop
 {
-    ShardPlan plan;
-    plan.addDomain("a");
-    plan.addDomain("b");
-    plan.addDomain("c");
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 3u);
-    EXPECT_EQ(r.groupOf, (std::vector<std::uint32_t>{0, 1, 2}));
-    EXPECT_EQ(r.window, sim::maxTick);
-}
+    std::uint64_t n = 0;
 
-TEST(ShardPlan, SyncEdgesFuseTransitively)
-{
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    const auto c = plan.addDomain("c");
-    const auto d = plan.addDomain("d");
-    plan.syncEdge(a, b);
-    plan.syncEdge(b, c);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 2u);
-    EXPECT_EQ(r.groupOf[a], r.groupOf[b]);
-    EXPECT_EQ(r.groupOf[b], r.groupOf[c]);
-    EXPECT_NE(r.groupOf[a], r.groupOf[d]);
-}
-
-TEST(ShardPlan, WindowIsMinCrossGroupAsyncLatency)
-{
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    const auto c = plan.addDomain("c");
-    plan.asyncEdge(a, b, 500);
-    plan.asyncEdge(b, c, 300);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 3u);
-    EXPECT_EQ(r.window, Tick(300));
-}
-
-TEST(ShardPlan, IntraGroupAsyncEdgeDoesNotConstrainWindow)
-{
-    // A latency edge between two already-fused domains is ordered by
-    // the group lockstep; only cross-group edges bound the window.
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    plan.syncEdge(a, b);
-    plan.asyncEdge(a, b, 5);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 1u);
-    EXPECT_EQ(r.window, sim::maxTick);
-}
-
-TEST(ShardPlan, ZeroLatencyAsyncEdgeFuses)
-{
-    ShardPlan plan;
-    const auto a = plan.addDomain("a");
-    const auto b = plan.addDomain("b");
-    plan.asyncEdge(a, b, 0);
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 1u);
-}
-
-TEST(ShardPlan, SplitTopologyWindowIsMinLinkLatency)
-{
-    // The TestSystem split plan's exact shape: NIC and per-core
-    // domains star-connected to the uncore with mixed PCIe/mesh
-    // latencies. Everything stays in its own group and the window is
-    // the minimum edge — the mesh hop.
-    constexpr Tick pcie = 500;
-    constexpr Tick mesh = 250;
-    ShardPlan plan;
-    const auto uncore = plan.addDomain("uncore");
-    const auto nic = plan.addDomain("nic");
-    plan.asyncEdge(nic, uncore, pcie);
-    std::vector<DomainId> cores;
-    for (int i = 0; i < 4; ++i) {
-        const auto d = plan.addDomain("core" + std::to_string(i));
-        plan.asyncEdge(d, uncore, mesh);
-        plan.asyncEdge(d, nic, pcie);
-        cores.push_back(d);
+    static void
+    serializeMsg(ckpt::Serializer &s, const Hop &m)
+    {
+        s.writeU64(m.n);
     }
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 6u);
-    EXPECT_EQ(r.window, mesh);
-    for (const auto d : cores) {
-        EXPECT_NE(r.groupOf[d], r.groupOf[uncore]);
-        EXPECT_NE(r.groupOf[d], r.groupOf[nic]);
+
+    static Hop
+    unserializeMsg(ckpt::Deserializer &d)
+    {
+        return Hop{d.readU64()};
     }
+};
+
+using HopChannel = sim::shard::LinkChannel<Hop>;
+
+std::unique_ptr<HopChannel>
+makeChannel(sim::Simulation &s, const char *name, sim::EventQueue &src,
+            sim::EventQueue &dst, Tick latency)
+{
+    return std::make_unique<HopChannel>(s, name, src, dst, latency);
 }
 
-TEST(ShardPlan, ZeroLatencyLinkCollapsesSplitTopology)
+TEST(ShardedExecutor, WindowIsMinChannelLatency)
 {
-    // A zero-latency mesh degenerates the same topology back to one
-    // fused group: the fallback legacy configs rely on (the PCIe
-    // latency becomes intra-group and stops constraining the window).
-    ShardPlan plan;
-    const auto uncore = plan.addDomain("uncore");
-    const auto nic = plan.addDomain("nic");
-    plan.asyncEdge(nic, uncore, 500);
-    for (int i = 0; i < 4; ++i) {
-        const auto d = plan.addDomain("core" + std::to_string(i));
-        plan.asyncEdge(d, uncore, 0);
-        plan.asyncEdge(d, nic, 0);
-    }
-    const auto r = plan.resolve();
-    EXPECT_EQ(r.groups, 1u);
-    EXPECT_EQ(r.window, sim::maxTick);
+    sim::Simulation s;
+    sim::EventQueue &a = s.eventq();
+    sim::EventQueue &b = s.addDomainQueue("b");
+    ShardedExecutor exec(1);
+    exec.addExternalDomain(a);
+    exec.addExternalDomain(b);
+    // No links: the domains are independent, one window per run.
+    EXPECT_EQ(exec.window(), sim::maxTick);
+
+    auto ab = makeChannel(s, "ab", a, b, 500);
+    auto ba = makeChannel(s, "ba", b, a, 250);
+    auto aa = makeChannel(s, "aa", a, a, 300);
+    exec.registerChannel(ab.get());
+    EXPECT_EQ(exec.window(), Tick(500));
+    exec.registerChannel(ba.get());
+    exec.registerChannel(aa.get());
+    EXPECT_EQ(exec.window(), Tick(250));
 }
 
 TEST(ShardedExecutor, SingleDomainMatchesPlainRunUntil)
@@ -147,13 +83,15 @@ TEST(ShardedExecutor, SingleDomainMatchesPlainRunUntil)
         ref.schedule(t, [&refLog, &ref] { refLog.push_back(ref.now()); });
     ref.runUntil(1000);
 
-    // Same schedule through the executor, window much smaller than
-    // the span so chunking is exercised.
+    // Same schedule through the executor. An idle self-link sets a
+    // window much smaller than the span, so chunking is exercised.
+    sim::Simulation s;
+    sim::EventQueue &q = s.eventq();
     ShardedExecutor exec(1);
-    const DomainId d = exec.addDomain("only");
-    exec.setWindow(7);
+    exec.addExternalDomain(q);
+    auto self = makeChannel(s, "self", q, q, 7);
+    exec.registerChannel(self.get());
     std::vector<Tick> log;
-    sim::EventQueue &q = exec.queue(d);
     for (Tick t : {Tick(10), Tick(25), Tick(25), Tick(40), Tick(990)})
         q.schedule(t, [&log, &q] { log.push_back(q.now()); });
     const std::uint64_t n = exec.runUntil(1000);
@@ -162,143 +100,95 @@ TEST(ShardedExecutor, SingleDomainMatchesPlainRunUntil)
     EXPECT_EQ(log, refLog);
     EXPECT_EQ(q.now(), ref.now());
     EXPECT_EQ(q.now(), Tick(1000));
-    // Idle skipping: far fewer windows than span/window.
+    // Chunked, but idle skipping keeps it far below span/window.
+    EXPECT_GT(exec.windowsRun(), 1u);
     EXPECT_LT(exec.windowsRun(), 20u);
 }
 
-TEST(ShardedExecutor, FusedDomainsInterleaveByTickThenDomainId)
+/** Everything observable from one ping-pong run. */
+struct PingPongResult
 {
-    ShardedExecutor exec(1);
-    const DomainId a = exec.addDomain("a", /*group=*/0);
-    const DomainId b = exec.addDomain("b", /*group=*/0);
-    exec.setWindow(100);
+    std::vector<Tick> logA;
+    std::vector<Tick> logB;
+    std::uint64_t windows = 0;
+    std::uint64_t linkMsgs = 0;
 
-    // Same-tick events across fused domains fire lowest domain id
-    // first; later-scheduled same-domain events keep insertion order.
-    std::vector<int> log;
-    exec.queue(b).schedule(50, [&log] { log.push_back(20); });
-    exec.queue(a).schedule(50, [&log] { log.push_back(10); });
-    exec.queue(a).schedule(50, [&log] { log.push_back(11); });
-    exec.queue(b).schedule(20, [&log] { log.push_back(21); });
-    exec.runUntil(1000);
+    bool
+    operator==(const PingPongResult &o) const
+    {
+        return logA == o.logA && logB == o.logB &&
+               windows == o.windows && linkMsgs == o.linkMsgs;
+    }
+};
 
-    EXPECT_EQ(log, (std::vector<int>{21, 10, 11, 20}));
-    EXPECT_EQ(exec.queue(a).now(), Tick(1000));
-    EXPECT_EQ(exec.queue(b).now(), Tick(1000));
-}
-
-TEST(ShardedExecutor, CrossPostsMergeByTickSourceSequence)
+/**
+ * Bounce a message between two domains over a LinkChannel pair until
+ * @p hops deliveries have happened.
+ */
+PingPongResult
+runPingPong(unsigned jobs, std::uint64_t hops = 16)
 {
-    ShardedExecutor exec(1);
-    const DomainId a = exec.addDomain("a", 0);
-    const DomainId b = exec.addDomain("b", 1);
-    const DomainId c = exec.addDomain("c", 2);
-    exec.setWindow(10);
-
-    // Posts staged outside any window, deliberately out of order:
-    // delivery must sort to (tick, source domain, staging sequence).
-    std::vector<int> log;
-    exec.post(c, b, 100, [&log] { log.push_back(3); });
-    exec.post(a, b, 100, [&log] { log.push_back(1); });
-    exec.post(a, b, 100, [&log] { log.push_back(2); });
-    exec.post(c, b, 50, [&log] { log.push_back(0); });
-    exec.runUntil(200);
-
-    EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(exec.crossPostsDelivered(), 4u);
-}
-
-/** Ping-pong across two groups; returns the merged event log. */
-std::vector<std::pair<int, Tick>>
-runPingPong(unsigned jobs)
-{
+    sim::Simulation s;
+    sim::EventQueue &a = s.eventq();
+    sim::EventQueue &b = s.addDomainQueue("b");
     ShardedExecutor exec(jobs);
-    const DomainId a = exec.addDomain("a", 0);
-    const DomainId b = exec.addDomain("b", 1);
-    const Tick latency = 100;
-    exec.setWindow(latency);
+    exec.addExternalDomain(a);
+    exec.addExternalDomain(b);
+    auto ab = makeChannel(s, "ab", a, b, 100);
+    auto ba = makeChannel(s, "ba", b, a, 150);
+    exec.registerChannel(ab.get());
+    exec.registerChannel(ba.get());
 
     // Per-domain logs: each is only ever touched by the thread
-    // running its group, and the window barrier publishes writes.
-    std::vector<Tick> logA, logB;
+    // running its domain, and the window barrier publishes writes.
+    PingPongResult r;
+    ab->setHandler([&](const Hop &m) {
+        r.logB.push_back(b.now());
+        if (m.n < hops)
+            ba->send(Hop{m.n + 1});
+    });
+    ba->setHandler([&](const Hop &m) {
+        r.logA.push_back(a.now());
+        if (m.n < hops)
+            ab->send(Hop{m.n + 1});
+    });
 
-    // fn(a@t): log, post to b at t+latency, which posts back, ...
-    struct Bouncer
-    {
-        ShardedExecutor &exec;
-        DomainId self, peer;
-        std::vector<Tick> &log;
-        Bouncer *back;
-        Tick latency;
-        int remaining;
-
-        void
-        fire()
-        {
-            log.push_back(exec.queue(self).now());
-            if (remaining-- <= 0)
-                return;
-            const Tick when = exec.queue(self).now() + latency;
-            Bouncer *other = back;
-            exec.post(self, peer, when, [other] { other->fire(); });
-        }
-    };
-    Bouncer ba{exec, a, b, logA, nullptr, latency, 8};
-    Bouncer bb{exec, b, a, logB, &ba, latency, 8};
-    ba.back = &bb;
-
-    exec.queue(a).schedule(10, [&ba] { ba.fire(); });
+    a.schedule(10, [&] { ab->send(Hop{1}); });
     exec.runUntil(5000);
-
-    std::vector<std::pair<int, Tick>> merged;
-    for (Tick t : logA)
-        merged.emplace_back(0, t);
-    for (Tick t : logB)
-        merged.emplace_back(1, t);
-    return merged;
+    r.windows = exec.windowsRun();
+    r.linkMsgs = exec.crossPostsDelivered();
+    return r;
 }
 
 TEST(ShardedExecutor, PingPongIsIdenticalAcrossHostThreadCounts)
 {
     const auto one = runPingPong(1);
-    const auto two = runPingPong(2);
-    const auto four = runPingPong(4);
-    EXPECT_FALSE(one.empty());
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, four);
-}
-
-TEST(ShardedExecutorDeathTest, PostInsideWindowPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ShardedExecutor exec(1);
-            const DomainId a = exec.addDomain("a", 0);
-            const DomainId b = exec.addDomain("b", 1);
-            exec.setWindow(100);
-            // An event that posts a same-tick (intra-window) event to
-            // the other group: a conservative-window violation.
-            exec.queue(a).schedule(10, [&exec, a, b] {
-                exec.post(a, b, exec.queue(a).now(), [] {});
-            });
-            exec.runUntil(1000);
-        },
-        "conservative window violated");
+    // Deliveries alternate b, a, b, ... one link latency apart.
+    ASSERT_EQ(one.logB.size(), 8u);
+    ASSERT_EQ(one.logA.size(), 8u);
+    EXPECT_EQ(one.logB.front(), Tick(110));
+    EXPECT_EQ(one.logA.front(), Tick(260));
+    EXPECT_EQ(one.linkMsgs, 16u);
+    EXPECT_EQ(runPingPong(2), one);
+    EXPECT_EQ(runPingPong(4), one);
 }
 
 TEST(ShardedExecutor, RunUntilAdvancesIdleDomainsToLimit)
 {
+    sim::Simulation s;
+    sim::EventQueue &a = s.eventq();
+    sim::EventQueue &b = s.addDomainQueue("b");
     ShardedExecutor exec(1);
-    const DomainId a = exec.addDomain("a", 0);
-    const DomainId b = exec.addDomain("b", 1);
-    exec.setWindow(10);
-    exec.queue(a).schedule(500, [] {});
+    exec.addExternalDomain(a);
+    exec.addExternalDomain(b);
+    auto ab = makeChannel(s, "ab", a, b, 10);
+    exec.registerChannel(ab.get());
+    a.schedule(500, [] {});
     exec.runUntil(2000);
     // b never had an event; its time base still reaches the limit,
     // mirroring EventQueue::runUntil semantics.
-    EXPECT_EQ(exec.queue(a).now(), Tick(2000));
-    EXPECT_EQ(exec.queue(b).now(), Tick(2000));
+    EXPECT_EQ(a.now(), Tick(2000));
+    EXPECT_EQ(b.now(), Tick(2000));
 }
 
 } // anonymous namespace
