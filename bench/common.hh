@@ -669,7 +669,8 @@ ratio(std::uint64_t ours, std::uint64_t base, int precision = 2)
 /**
  * Print the Table I configuration echo every bench starts with: the
  * configuration actually run, i.e.\ @p base with the @p opts topology
- * applied and the core count TestSystem builds.
+ * and seed applied and the core count TestSystem builds, followed by
+ * the run echo (scheduler backend, build flags, seed).
  */
 inline void
 printConfigEcho(const harness::ExperimentConfig &base,
@@ -677,6 +678,8 @@ printConfigEcho(const harness::ExperimentConfig &base,
 {
     harness::ExperimentConfig cfg = base;
     applyTopology(cfg, opts);
+    if (opts.seed)
+        cfg.seed = *opts.seed;
     cfg.hier.numCores = cfg.coreCount();
     std::printf("# Table I config: %u-core aarch64-class @ %.1f GHz, "
                 "L1D %lluKB/%u, MLC %lluKB/%u, LLC %lluKB/%u "
@@ -689,7 +692,8 @@ printConfigEcho(const harness::ExperimentConfig &base,
                 (unsigned long long)cfg.hier.llcSizeBytes() / 1024,
                 cfg.hier.llcPerCore.assoc, cfg.hier.ddioWays,
                 cfg.hier.dramBandwidthGBps);
-    std::printf("# workload: %s\n\n", cfg.summary().c_str());
+    std::printf("# workload: %s\n", cfg.summary().c_str());
+    std::printf("# run: %s\n\n", cfg.runEcho().c_str());
 }
 
 } // namespace bench

@@ -16,6 +16,7 @@
 #include "cache/tag_array.hh"
 #include "net/flow.hh"
 #include "nic/classifier.hh"
+#include "nic/flow_director.hh"
 #include "nic/tlp.hh"
 #include "sim/delegate.hh"
 #include "sim/event_queue.hh"
@@ -249,7 +250,7 @@ BM_ClassifierPacket(benchmark::State &state)
 {
     sim::Simulation s;
     nic::FlowDirector fdir(8);
-    nic::IdioClassifier cls(s, "cls", fdir, {}, 8);
+    nic::IdioClassifier cls(s, "cls", {}, 8);
     net::Packet p;
     p.flow.srcIp = 1;
     p.flow.dstIp = 2;
@@ -257,7 +258,7 @@ BM_ClassifierPacket(benchmark::State &state)
     p.flow.dstPort = 4;
     p.frameBytes = 1514;
     for (auto _ : state)
-        benchmark::DoNotOptimize(cls.classify(p));
+        benchmark::DoNotOptimize(cls.classify(p, fdir.lookup(p.flow)));
 }
 BENCHMARK(BM_ClassifierPacket);
 

@@ -7,6 +7,10 @@
 
 #include <cstdio>
 
+#include "sim/checker/invariant_checker.hh"
+#include "sim/event_queue.hh"
+#include "trace/tracer.hh"
+
 namespace harness
 {
 
@@ -88,6 +92,20 @@ ExperimentConfig::summary() const
         out += buf;
     }
     return out;
+}
+
+std::string
+ExperimentConfig::runEcho() const
+{
+    char buf[160];
+    std::snprintf(
+        buf, sizeof(buf),
+        "scheduler %s, IDIO_TRACE=%s, IDIO_CHECK_INVARIANTS=%s, seed %llu",
+        sim::EventQueue::backendName(sim::EventQueue::defaultBackend()),
+        IDIO_TRACE ? "ON" : "OFF",
+        sim::InvariantChecker::compiledIn ? "ON" : "OFF",
+        static_cast<unsigned long long>(seed));
+    return buf;
 }
 
 } // namespace harness

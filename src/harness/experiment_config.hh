@@ -317,6 +317,13 @@ struct ExperimentConfig
 
     /** One-line summary for bench output. */
     std::string summary() const;
+
+    /**
+     * One-line echo of how the run executes: the scheduler backend
+     * (EventQueue::defaultBackend, i.e.\ after IDIO_EVENTQ), the
+     * IDIO_TRACE / IDIO_CHECK_INVARIANTS build flags and the seed.
+     */
+    std::string runEcho() const;
 };
 
 } // namespace harness

@@ -6,6 +6,7 @@
 #ifndef IDIO_NET_FLOW_HH
 #define IDIO_NET_FLOW_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -28,17 +29,21 @@ struct FiveTuple
     bool operator==(const FiveTuple &) const = default;
 };
 
+/** The default Microsoft RSS key (40 bytes). */
+inline constexpr std::array<std::uint8_t, 40> defaultRssKey = {
+    0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
+    0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,
+    0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
+    0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
+};
+
 /**
- * Toeplitz hash over the 5-tuple, as used by RSS and Flow Director's
- * signature filters. @p key must provide at least 40 bytes.
+ * Toeplitz hash of the 5-tuple with defaultRssKey, as used by RSS and
+ * Flow Director's signature filters. The input is the standard
+ * IPv4-with-ports RSS string (srcIp | dstIp | srcPort | dstPort, 12
+ * bytes big-endian; the protocol is not hashed). Table-driven: one
+ * precomputed 256-entry table per input byte.
  */
-std::uint32_t toeplitzHash(const FiveTuple &tuple,
-                           const std::uint8_t *key);
-
-/** The default Microsoft RSS key. */
-extern const std::uint8_t defaultRssKey[40];
-
-/** Toeplitz hash with the default key. */
 std::uint32_t toeplitzHash(const FiveTuple &tuple);
 
 /** Cheap structural hash for container keys. */

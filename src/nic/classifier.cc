@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 
 namespace nic
@@ -28,7 +29,6 @@ bytesPerInterval(double gbps, sim::Tick interval)
 
 IdioClassifier::IdioClassifier(sim::Simulation &simulation,
                                const std::string &name,
-                               FlowDirector &flowDirector,
                                const ClassifierConfig &config,
                                std::uint32_t numCores)
     : sim::SimObject(simulation, name),
@@ -39,7 +39,7 @@ IdioClassifier::IdioClassifier(sim::Simulation &simulation,
                      "burst-threshold crossings"),
       class1Packets(statGroup, "class1Packets",
                     "packets classified as application class 1"),
-      fdir(flowDirector), cfg(config),
+      cfg(config),
       thrBytes(bytesPerInterval(config.rxBurstThresholdGbps,
                                 config.counterInterval)),
       counters(numCores, 0), crossedThis(numCores, false),
@@ -59,8 +59,10 @@ IdioClassifier::start()
 }
 
 Classification
-IdioClassifier::classify(const net::Packet &pkt)
+IdioClassifier::classify(const net::Packet &pkt, sim::CoreId destCore)
 {
+    SIM_ASSERT(destCore < counters.size(),
+               "classify: destination core out of range");
     ++packetsClassified;
 
     Classification cls;
@@ -68,7 +70,7 @@ IdioClassifier::classify(const net::Packet &pkt)
     if (cls.appClass == 1)
         ++class1Packets;
 
-    cls.destCore = fdir.lookup(pkt.flow);
+    cls.destCore = destCore;
 
     auto &counter = counters[cls.destCore];
     counter += pkt.frameBytes;

@@ -5,7 +5,8 @@
  * NIC-resident logic that, for every inbound packet, determines:
  *  (1) the application class from the IPv4 DSCP field,
  *  (2) which DMA write carries the header cacheline,
- *  (3) the destination core (via Flow Director), and
+ *  (3) the destination core (the NIC's Flow Director steering
+ *      decision, made once per packet by Nic::deliver), and
  *  (4) whether an RX burst is in progress for that core, by keeping a
  *      32-bit per-core received-byte counter that is reset every 1 us
  *      and compared against rxBurstTHR.
@@ -18,10 +19,10 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "nic/flow_director.hh"
 #include "nic/tlp.hh"
 #include "sim/periodic.hh"
 #include "sim/sim_object.hh"
+#include "sim/types.hh"
 #include "stats/registry.hh"
 
 namespace nic
@@ -64,7 +65,6 @@ class IdioClassifier : public sim::SimObject
 
   public:
     IdioClassifier(sim::Simulation &simulation, const std::string &name,
-                   FlowDirector &flowDirector,
                    const ClassifierConfig &config,
                    std::uint32_t numCores);
 
@@ -72,8 +72,9 @@ class IdioClassifier : public sim::SimObject
     void start();
 
     /**
-     * Classify one inbound packet and update the burst counters.
-     * Called once per packet when its DMA begins.
+     * Classify one inbound packet and charge its bytes to the burst
+     * counter of @p destCore, the core the NIC steered it to (Flow
+     * Director lookup). Called once per packet when its DMA begins.
      *
      * Burst detection is edge-triggered: the burst bit is raised on
      * the packet whose bytes push the interval counter over
@@ -83,7 +84,8 @@ class IdioClassifier : public sim::SimObject
      * but does not re-signal, so the controller's pressure feedback
      * stays in charge during the burst.
      */
-    Classification classify(const net::Packet &pkt);
+    Classification classify(const net::Packet &pkt,
+                            sim::CoreId destCore);
 
     /**
      * Build the TLP metadata for one cacheline of the packet.
@@ -122,7 +124,6 @@ class IdioClassifier : public sim::SimObject
   private:
     void resetCounters();
 
-    FlowDirector &fdir;
     ClassifierConfig cfg;
     std::uint32_t thrBytes;
     std::vector<std::uint32_t> counters;

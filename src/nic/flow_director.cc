@@ -49,7 +49,8 @@ FlowDirector::removeRule(const net::FiveTuple &flow)
 void
 FlowDirector::learn(const net::FiveTuple &flow, sim::CoreId core)
 {
-    filterTable[tableIndex(flow)] = static_cast<std::int32_t>(core);
+    filterTable[filterIndex(net::toeplitzHash(flow))] =
+        static_cast<std::int32_t>(core);
 }
 
 sim::CoreId
@@ -59,20 +60,19 @@ FlowDirector::lookup(const net::FiveTuple &flow) const
     if (it != rules.end())
         return it->second;
 
-    const std::int32_t learned = filterTable[tableIndex(flow)];
+    // One hash serves both the ATR filter slot and the RSS fallback.
+    const std::uint32_t hash = net::toeplitzHash(flow);
+    const std::int32_t learned = filterTable[filterIndex(hash)];
     if (learned >= 0)
         return static_cast<sim::CoreId>(learned);
 
-    return rssQueue(flow);
+    return queueFor(hash);
 }
 
 std::uint32_t
 FlowDirector::rssQueue(const net::FiveTuple &flow) const
 {
-    const std::uint32_t hash = net::toeplitzHash(flow);
-    if (reta.empty())
-        return hash % numCores; // legacy direct modulus
-    return reta[hash & (static_cast<std::uint32_t>(reta.size()) - 1)];
+    return queueFor(net::toeplitzHash(flow));
 }
 
 void

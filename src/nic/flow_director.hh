@@ -63,7 +63,10 @@ class FlowDirector
      */
     void learn(const net::FiveTuple &flow, sim::CoreId core);
 
-    /** Destination core for an RX packet. */
+    /**
+     * Destination core for an RX packet: EP rule, else learned ATR
+     * entry, else RSS. Hashes the flow at most once.
+     */
     sim::CoreId lookup(const net::FiveTuple &flow) const;
 
     /** Number of installed EP rules. */
@@ -74,8 +77,8 @@ class FlowDirector
 
     /**
      * RSS queue for @p flow, ignoring EP/ATR state: the pure hash →
-     * RETA (or legacy modulus) mapping. This is what a multi-queue
-     * NIC uses for ring selection.
+     * RETA (or legacy modulus) mapping that lookup() falls back to
+     * when neither an EP rule nor an ATR entry matches.
      */
     std::uint32_t rssQueue(const net::FiveTuple &flow) const;
 
@@ -89,10 +92,20 @@ class FlowDirector
     }
 
   private:
+    /** ATR filter-table slot of a flow with Toeplitz hash @p hash. */
     std::uint32_t
-    tableIndex(const net::FiveTuple &flow) const
+    filterIndex(std::uint32_t hash) const
     {
-        return net::toeplitzHash(flow) & (tableSize - 1);
+        return hash & (tableSize - 1);
+    }
+
+    /** RSS queue of a flow with Toeplitz hash @p hash. */
+    std::uint32_t
+    queueFor(std::uint32_t hash) const
+    {
+        if (reta.empty())
+            return hash % numCores; // legacy direct modulus
+        return reta[hash & (static_cast<std::uint32_t>(reta.size()) - 1)];
     }
 
     std::uint32_t numCores;

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment_config.hh"
+#include "sim/checker/invariant_checker.hh"
+#include "sim/event_queue.hh"
+#include "trace/tracer.hh"
 
 namespace
 {
@@ -73,6 +76,26 @@ TEST(ExperimentConfig, SummaryEchoesLinksAndExecutorJobs)
     cfg.shardJobs = 4;
     EXPECT_NE(cfg.summary().find("executor j4"), std::string::npos)
         << cfg.summary();
+}
+
+TEST(ExperimentConfig, RunEchoNamesBackendBuildFlagsAndSeed)
+{
+    harness::ExperimentConfig cfg;
+    cfg.seed = 9001;
+    const std::string echo = cfg.runEcho();
+    const std::string backend = sim::EventQueue::backendName(
+        sim::EventQueue::defaultBackend());
+    EXPECT_NE(echo.find("scheduler " + backend), std::string::npos)
+        << echo;
+    EXPECT_NE(echo.find(IDIO_TRACE ? "IDIO_TRACE=ON" : "IDIO_TRACE=OFF"),
+              std::string::npos)
+        << echo;
+    EXPECT_NE(echo.find(sim::InvariantChecker::compiledIn
+                            ? "IDIO_CHECK_INVARIANTS=ON"
+                            : "IDIO_CHECK_INVARIANTS=OFF"),
+              std::string::npos)
+        << echo;
+    EXPECT_NE(echo.find("seed 9001"), std::string::npos) << echo;
 }
 
 TEST(ExperimentConfig, CoreCountMatchesBuiltSystem)

@@ -131,6 +131,54 @@ TEST(FlowDirectorRss, LookupFallsBackToReta)
     EXPECT_EQ(fd.lookup(flow(4242)), 1u);
 }
 
+/** Synthetic flow @p i: distinct addresses and ports per index. */
+net::FiveTuple
+syntheticFlow(std::uint32_t i)
+{
+    net::FiveTuple t;
+    t.srcIp = 0x0a000000u + i * 2654435761u;
+    t.dstIp = 0xc0a80000u ^ (i << 7);
+    t.srcPort = static_cast<std::uint16_t>(1024 + i * 7);
+    t.dstPort = static_cast<std::uint16_t>(80 + (i >> 5));
+    return t;
+}
+
+TEST(FlowDirectorRss, LookupIsRssQueueWithoutRulesOrEntries)
+{
+    // With no EP rule and no learned ATR entry, the steering decision
+    // is exactly the RSS queue, in both RSS variants.
+    nic::FlowDirector legacy(12);
+    nic::FlowDirector reta(32, 8192, 128, 32);
+    std::vector<std::uint32_t> table(128);
+    for (std::uint32_t i = 0; i < table.size(); ++i)
+        table[i] = (i * 11) % 32;
+    reta.setIndirection(table);
+    for (std::uint32_t i = 0; i < 4096; ++i) {
+        const auto f = syntheticFlow(i);
+        ASSERT_EQ(legacy.lookup(f), legacy.rssQueue(f)) << "flow " << i;
+        ASSERT_EQ(reta.lookup(f), reta.rssQueue(f)) << "flow " << i;
+    }
+}
+
+TEST(FlowDirectorRss, PrecedenceIsEpThenAtrThenRss)
+{
+    for (const std::uint32_t retaEntries : {0u, 64u}) {
+        nic::FlowDirector fd(8, 8192, retaEntries, 4);
+        const auto f = flow(4242);
+        const auto rss = fd.rssQueue(f);
+        EXPECT_EQ(fd.lookup(f), rss);
+
+        const sim::CoreId learned = (rss + 1) % 8;
+        fd.learn(f, learned);
+        EXPECT_EQ(fd.lookup(f), learned) << "ATR beats RSS";
+
+        const sim::CoreId ep = (rss + 2) % 8;
+        fd.addRule(f, ep);
+        EXPECT_EQ(fd.lookup(f), ep) << "EP beats ATR and RSS";
+        EXPECT_EQ(fd.rssQueue(f), rss) << "RSS ignores EP/ATR state";
+    }
+}
+
 TEST(FlowDirectorRssDeath, BadRetaUseIsFatal)
 {
     EXPECT_EXIT(nic::FlowDirector(4, 8192, /*rssTableEntries=*/100),
