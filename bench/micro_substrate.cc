@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "cache/directory.hh"
 #include "cache/hierarchy.hh"
 #include "cache/replacement.hh"
 #include "cache/tag_array.hh"
@@ -137,9 +138,10 @@ BENCHMARK(BM_TagSetIndexPow2);
 void
 BM_TagSetIndexGeneric(benchmark::State &state)
 {
-    // 1000 sets: the generic modulo path (coverage-scaled directory).
+    // 49,152 sets (the 32-core coverage-scaled directory, not a power
+    // of two): the multiply-shift reduction instead of a 64-bit `%`.
     auto arr = cache::TagArray::withSets(
-        1000, 8, cache::makeReplacementPolicy("lru"));
+        49152, 16, cache::makeReplacementPolicy("lru"));
     sim::Addr a = 0;
     std::uint64_t sink = 0;
     for (auto _ : state) {
@@ -205,9 +207,10 @@ BENCHMARK(BM_HierarchyStreamingMiss);
 void
 BM_HierarchyPcieWrite(benchmark::State &state)
 {
+    // Arg = cores: the LLC (and its host footprint) scales with them.
     sim::Simulation s;
     cache::HierarchyConfig cfg;
-    cfg.numCores = 2;
+    cfg.numCores = static_cast<std::uint32_t>(state.range(0));
     cache::MemoryHierarchy hier(s, "sys", cfg);
     sim::Addr a = 0;
     for (auto _ : state) {
@@ -215,7 +218,31 @@ BM_HierarchyPcieWrite(benchmark::State &state)
         a = (a + 64) & 0xFFFFF;
     }
 }
-BENCHMARK(BM_HierarchyPcieWrite);
+BENCHMARK(BM_HierarchyPcieWrite)->Arg(2)->Arg(32);
+
+void
+BM_DirectoryAddRemove(benchmark::State &state)
+{
+    // The 32-core directory: 49,152 sets x 16 ways. Each iteration
+    // adds one line for a rotating core and removes the line added
+    // 8,192 iterations earlier, so the directory stays partly full
+    // and every add scans a populated set.
+    sim::Simulation s;
+    cache::MlcDirectory dir(s, "dir", 49152ull * 16, 16, "lru");
+    constexpr std::uint64_t lag = 8192;
+    std::uint64_t k = 0;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        const auto core = static_cast<sim::CoreId>(k % 32);
+        sink += dir.add(core, k * mem::lineSize).valid;
+        if (k >= lag)
+            dir.remove(static_cast<sim::CoreId>((k - lag) % 32),
+                       (k - lag) * mem::lineSize);
+        ++k;
+    }
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_DirectoryAddRemove);
 
 void
 BM_ToeplitzHash(benchmark::State &state)

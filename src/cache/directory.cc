@@ -16,6 +16,7 @@ namespace
 std::uint32_t
 directorySets(std::uint64_t numEntries, std::uint32_t assoc)
 {
+    TagArray::checkAssoc(assoc);
     std::uint64_t sets = numEntries / assoc;
     if (sets == 0)
         sets = 1;
@@ -35,38 +36,33 @@ MlcDirectory::MlcDirectory(sim::Simulation &simulation,
       capacityEvictions(statGroup, "capacityEvictions",
                         "entries displaced by capacity pressure"),
       array(TagArray::withSets(directorySets(numEntries, assoc), assoc,
-                               makeReplacementPolicy(replacement)))
+                               makeReplacementPolicy(replacement))),
+      sharers(std::size_t(array.numSets()) * array.assoc(), 0)
 {
-}
-
-std::uint64_t
-MlcDirectory::sharersOf(sim::Addr addr) const
-{
-    const CacheLine *l = array.peek(addr);
-    return l ? l->sharers : 0;
 }
 
 DirectoryVictim
 MlcDirectory::add(sim::CoreId core, sim::Addr addr)
 {
     ++lookups;
-    LineRef ref = array.lookup(addr);
-    if (ref) {
-        ref.line->sharers |= std::uint64_t(1) << core;
-        array.touch(ref);
+    const std::uint64_t bit = std::uint64_t(1) << core;
+    const TagArray::Probe p = array.lookupOrFillSlot(addr);
+    std::uint64_t &mask = sharers[slotIndex(p.slot)];
+    if (p.hit) {
+        mask |= bit;
+        array.touch(p.slot);
         return {};
     }
 
     DirectoryVictim victim;
-    LineRef slot = array.findFillSlot(addr);
-    if (slot.line->valid) {
+    if (p.slot.valid()) {
         victim.valid = true;
-        victim.addr = slot.line->addr;
-        victim.sharers = slot.line->sharers;
+        victim.addr = p.slot.addr();
+        victim.sharers = mask;
         ++capacityEvictions;
     }
-    CacheLine &l = array.fill(slot, addr, false, false);
-    l.sharers = std::uint64_t(1) << core;
+    array.fill(p.slot, addr, false, false);
+    mask = bit;
     ++insertions;
     return victim;
 }
@@ -77,29 +73,35 @@ MlcDirectory::remove(sim::CoreId core, sim::Addr addr)
     LineRef ref = array.lookup(addr);
     if (!ref)
         return;
-    ref.line->sharers &= ~(std::uint64_t(1) << core);
-    if (ref.line->sharers == 0)
+    std::uint64_t &mask = sharers[slotIndex(ref)];
+    mask &= ~(std::uint64_t(1) << core);
+    if (mask == 0)
         array.invalidate(ref);
 }
 
-void
-MlcDirectory::removeAll(sim::Addr addr)
+std::uint64_t
+MlcDirectory::takeSharers(sim::Addr addr)
 {
     LineRef ref = array.lookup(addr);
-    if (ref)
-        array.invalidate(ref);
+    if (!ref)
+        return 0;
+    std::uint64_t &mask = sharers[slotIndex(ref)];
+    const std::uint64_t taken = mask;
+    mask = 0;
+    array.invalidate(ref);
+    return taken;
 }
 
 void
 MlcDirectory::serialize(ckpt::Serializer &s) const
 {
-    array.serialize(s);
+    array.serialize(s, sharers);
 }
 
 void
 MlcDirectory::unserialize(ckpt::Deserializer &d)
 {
-    array.unserialize(d);
+    array.unserialize(d, sharers);
 }
 
 } // namespace cache

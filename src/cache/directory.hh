@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cache/tag_array.hh"
 #include "sim/sim_object.hh"
@@ -33,6 +34,8 @@ struct DirectoryVictim
 
 /**
  * Set-associative snoop-filter directory over MLC-resident lines.
+ * The tag array holds the entries' addresses and LRU order; the sharer
+ * masks live beside it, one per slot, so no cache level carries them.
  */
 class MlcDirectory : public sim::SimObject
 {
@@ -48,7 +51,12 @@ class MlcDirectory : public sim::SimObject
                  const std::string &replacement);
 
     /** Sharer bit-vector for @p addr (0 when untracked). */
-    std::uint64_t sharersOf(sim::Addr addr) const;
+    std::uint64_t
+    sharersOf(sim::Addr addr) const
+    {
+        const std::size_t i = array.find(addr);
+        return i == TagArray::npos ? 0 : sharers[i];
+    }
 
     /** True when any MLC holds @p addr. */
     bool
@@ -69,14 +77,24 @@ class MlcDirectory : public sim::SimObject
     /** Record that @p core 's MLC dropped @p addr. */
     void remove(sim::CoreId core, sim::Addr addr);
 
-    /** Drop the whole entry for @p addr (all sharers). */
-    void removeAll(sim::Addr addr);
+    /**
+     * Drop the whole entry for @p addr and return its sharers (0 when
+     * untracked): sharersOf() and the removal in one lookup.
+     */
+    std::uint64_t takeSharers(sim::Addr addr);
 
     /** Number of tracked lines. */
     std::uint64_t trackedLines() const { return array.countValid(); }
 
     /** Read-only tag-array access (invariant checker, tests). */
     const TagArray &tags() const { return array; }
+
+    /** Sharers of directory slot (set, way); 0 when the slot is free. */
+    std::uint64_t
+    sharersAt(std::uint32_t set, std::uint32_t way) const
+    {
+        return sharers[std::size_t(set) * array.assoc() + way];
+    }
 
     void serialize(ckpt::Serializer &s) const override;
     void unserialize(ckpt::Deserializer &d) override;
@@ -88,7 +106,16 @@ class MlcDirectory : public sim::SimObject
     /** @} */
 
   private:
+    std::size_t
+    slotIndex(const LineRef &ref) const
+    {
+        return std::size_t(ref.set) * array.assoc() + ref.way;
+    }
+
     TagArray array;
+
+    /** Per slot: bit c = core c's MLC holds the line; 0 when free. */
+    std::vector<std::uint64_t> sharers;
 };
 
 } // namespace cache

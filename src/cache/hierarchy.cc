@@ -101,7 +101,7 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
         ++l1c.hits;
         l1c.tags().touch(ref);
         if (isWrite)
-            ref.line->dirty = true;
+            ref.setDirty(true);
         return {lat, mem::HitLevel::L1};
     }
     ++l1c.misses;
@@ -113,8 +113,8 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
     if (LineRef ref = mlcc.probe(addr)) {
         ++mlcc.hits;
         mlcc.tags().touch(ref);
-        if (ref.line->prefetched) {
-            ref.line->prefetched = false;
+        if (ref.prefetched()) {
+            ref.setPrefetched(false);
             if (prefetchRetireObserver)
                 prefetchRetireObserver(core);
         }
@@ -146,8 +146,8 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
     if (LineRef ref = sharedLlc->probe(addr)) {
         ++sharedLlc->hits;
         ++sharedLlc->demandMoves;
-        dirty = ref.line->dirty;
-        io = ref.line->io;
+        dirty = ref.dirty();
+        io = ref.io();
         sharedLlc->tags().invalidate(ref);
         level = mem::HitLevel::LLC;
     } else {
@@ -167,10 +167,10 @@ MemoryHierarchy::installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
 {
     PrivateCache &mlcc = *mlcs[core];
     LineRef slot = mlcc.tags().findFillSlot(addr);
-    if (slot.line->valid)
-        evictMlcVictim(core, *slot.line);
-    CacheLine &line = mlcc.tags().fill(slot, addr, dirty, io);
-    line.prefetched = isPrefetch;
+    if (slot.valid())
+        evictMlcVictim(core, slot.line());
+    mlcc.tags().fill(slot, addr, dirty, io);
+    slot.setPrefetched(isPrefetch);
     if (isPrefetch) {
         ++mlcc.prefetchFills;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcPrefetchFill,
@@ -189,7 +189,7 @@ MemoryHierarchy::installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
 void
 MemoryHierarchy::evictMlcVictim(sim::CoreId core, CacheLine victim)
 {
-    notePrefetchGone(core, victim);
+    notePrefetchGone(core, victim.prefetched);
 
     // Merge a dirtier L1 copy into the outgoing victim and drop it
     // (the L1-subset-of-MLC invariant).
@@ -220,27 +220,28 @@ MemoryHierarchy::llcInsertVictim(sim::Addr addr, bool dirty, bool io,
                                  WayMask allocMask)
 {
     ++sharedLlc->victimInserts;
-    if (LineRef ref = sharedLlc->probe(addr)) {
+    const auto [slot, hit] =
+        sharedLlc->tags().lookupOrFillSlot(addr, allocMask);
+    if (hit) {
         // Rare non-exclusive leftover: update in place.
-        ref.line->dirty = ref.line->dirty || dirty;
-        ref.line->io = ref.line->io || io;
-        sharedLlc->tags().touch(ref);
+        slot.setDirty(slot.dirty() || dirty);
+        slot.setIo(slot.io() || io);
+        sharedLlc->tags().touch(slot);
         return;
     }
-    LineRef slot = sharedLlc->tags().findFillSlot(addr, allocMask);
-    if (slot.line->valid)
-        evictLlcLine(*slot.line);
+    if (slot.valid())
+        evictLlcLine(slot);
     sharedLlc->tags().fill(slot, addr, dirty, io);
 }
 
 void
-MemoryHierarchy::evictLlcLine(const CacheLine &line)
+MemoryHierarchy::evictLlcLine(const LineRef &slot)
 {
-    if (line.dirty) {
+    if (slot.dirty()) {
         dramModel->access(mem::AccessType::Write);
         ++sharedLlc->writebacks;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheLlcWb, now(),
-                           0, 0, line.addr);
+                           0, 0, slot.addr());
     } else {
         ++sharedLlc->cleanDrops;
     }
@@ -250,23 +251,20 @@ void
 MemoryHierarchy::l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty)
 {
     PrivateCache &l1c = *l1s[core];
-    if (LineRef ref = l1c.probe(addr)) {
-        l1c.tags().touch(ref);
+    const auto [slot, hit] = l1c.tags().lookupOrFillSlot(addr);
+    if (hit) {
+        l1c.tags().touch(slot);
         if (makeDirty)
-            ref.line->dirty = true;
+            slot.setDirty(true);
         return;
     }
-    LineRef slot = l1c.tags().findFillSlot(addr);
-    if (slot.line->valid) {
-        // Write a dirty L1 victim through to its MLC line.
-        if (slot.line->dirty) {
-            LineRef mlcRef = mlcs[core]->probe(slot.line->addr);
-            SIM_ASSERT(mlcRef,
-                       "L1 victim not present in MLC (inclusion "
-                       "violated)");
-            mlcRef.line->dirty = true;
-        }
-        l1c.tags().invalidate(slot);
+    // Write a dirty L1 victim through to its MLC line; fill() then
+    // overwrites the slot.
+    if (slot.valid() && slot.dirty()) {
+        LineRef mlcRef = mlcs[core]->probe(slot.addr());
+        SIM_ASSERT(mlcRef,
+                   "L1 victim not present in MLC (inclusion violated)");
+        mlcRef.setDirty(true);
     }
     l1c.tags().fill(slot, addr, makeDirty, false);
     ++l1c.fills;
@@ -279,7 +277,7 @@ MemoryHierarchy::dropFromL1(sim::CoreId core, sim::Addr addr,
     PrivateCache &l1c = *l1s[core];
     if (LineRef ref = l1c.probe(addr)) {
         if (dirtyOut)
-            *dirtyOut = ref.line->dirty;
+            *dirtyOut = ref.dirty();
         l1c.tags().invalidate(ref);
     } else if (dirtyOut) {
         *dirtyOut = false;
@@ -289,39 +287,34 @@ MemoryHierarchy::dropFromL1(sim::CoreId core, sim::Addr addr,
 void
 MemoryHierarchy::invalidateMlcCopies(sim::Addr addr)
 {
-    const std::uint64_t sharers = dir->sharersOf(addr);
+    // The entry goes first: nothing below touches the directory.
+    const std::uint64_t sharers = dir->takeSharers(addr);
     if (!sharers)
         return;
     if (splitOn) {
         // The sharers' MLCs live in other timing domains: send
         // fire-and-forget invalidation messages (the whole line is
-        // being overwritten, so no data needs to come back) and drop
-        // the directory entries eagerly. The trace records the inval
+        // being overwritten, so no data needs to come back); the
+        // directory entry is already gone. The trace records the inval
         // at send time, per the directory's view.
-        for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-            if (!(sharers & (std::uint64_t(1) << c)))
-                continue;
+        forEachSharer(sharers, [&](sim::CoreId c) {
             IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
                                now(), 0, c, addr);
             if (splitHooks.mlcInval)
                 splitHooks.mlcInval(c, addr);
-        }
-        dir->removeAll(addr);
+        });
         return;
     }
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(sharers & (std::uint64_t(1) << c)))
-            continue;
+    forEachSharer(sharers, [&](sim::CoreId c) {
         dropFromL1(c, addr);
         if (LineRef ref = mlcs[c]->probe(addr)) {
-            notePrefetchGone(c, *ref.line);
+            notePrefetchGone(c, ref.prefetched());
             mlcs[c]->tags().invalidate(ref);
             ++mlcs[c]->pcieInvals;
             IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
                                now(), 0, c, addr);
         }
-    }
-    dir->removeAll(addr);
+    });
 }
 
 bool
@@ -334,22 +327,20 @@ MemoryHierarchy::migrateFromPeers(sim::CoreId requester, sim::Addr addr,
         return false;
 
     bool found = false;
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(sharers & (std::uint64_t(1) << c)))
-            continue;
+    forEachSharer(sharers, [&](sim::CoreId c) {
         bool l1Dirty = false;
         dropFromL1(c, addr, &l1Dirty);
         if (LineRef ref = mlcs[c]->probe(addr)) {
-            *dirtyOut = *dirtyOut || ref.line->dirty || l1Dirty;
-            *ioOut = *ioOut || ref.line->io;
-            notePrefetchGone(c, *ref.line);
+            *dirtyOut = *dirtyOut || ref.dirty() || l1Dirty;
+            *ioOut = *ioOut || ref.io();
+            notePrefetchGone(c, ref.prefetched());
             mlcs[c]->tags().invalidate(ref);
             dir->remove(c, addr);
             found = true;
         } else {
             dir->remove(c, addr);
         }
-    }
+    });
     if (found)
         ++coherenceMigrations;
     return found;
@@ -360,15 +351,13 @@ MemoryHierarchy::handleDirectoryVictim(const DirectoryVictim &victim)
 {
     // The directory lost track of this line; every MLC copy must go.
     // Dirty copies are written back into the LLC like normal victims.
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(victim.sharers & (std::uint64_t(1) << c)))
-            continue;
+    forEachSharer(victim.sharers, [&](sim::CoreId c) {
         bool l1Dirty = false;
         dropFromL1(c, victim.addr, &l1Dirty);
         if (LineRef ref = mlcs[c]->probe(victim.addr)) {
-            const bool dirty = ref.line->dirty || l1Dirty;
-            const bool io = ref.line->io;
-            notePrefetchGone(c, *ref.line);
+            const bool dirty = ref.dirty() || l1Dirty;
+            const bool io = ref.io();
+            notePrefetchGone(c, ref.prefetched());
             mlcs[c]->tags().invalidate(ref);
             ++mlcs[c]->backInvals;
             if (dirty)
@@ -384,7 +373,7 @@ MemoryHierarchy::handleDirectoryVictim(const DirectoryVictim &victim)
                     mlcWbObserver(c);
             }
         }
-    }
+    });
 }
 
 bool
@@ -408,7 +397,7 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
     if (splitOn) {
         dropFromL1(core, addr);
         if (LineRef ref = mlcs[core]->probe(addr)) {
-            splitNotePrefetchGone(core, *ref.line);
+            splitNotePrefetchGone(core, ref.prefetched());
             mlcs[core]->tags().invalidate(ref);
             ++mlcs[core]->selfInvals;
         }
@@ -421,7 +410,7 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
 
     dropFromL1(core, addr);
     if (LineRef ref = mlcs[core]->probe(addr)) {
-        notePrefetchGone(core, *ref.line);
+        notePrefetchGone(core, ref.prefetched());
         mlcs[core]->tags().invalidate(ref);
         ++mlcs[core]->selfInvals;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheSelfInval,
@@ -462,26 +451,26 @@ MemoryHierarchy::pcieWrite(sim::Addr addr)
     // P1/P2: drop MLC copies (the whole line is being overwritten).
     invalidateMlcCopies(addr);
 
-    // P2/P3/P4: in-place update wherever the line already lives.
-    if (LineRef ref = sharedLlc->probe(addr)) {
-        ref.line->dirty = true;
-        ref.line->io = true;
-        sharedLlc->tags().touch(ref);
+    // P2/P3/P4: in-place update wherever the line already lives;
+    // P1/P5: else write-allocate into the DDIO ways.
+    const auto [slot, hit] =
+        sharedLlc->tags().lookupOrFillSlot(addr, sharedLlc->ddioMask());
+    if (hit) {
+        slot.setDirty(true);
+        slot.setIo(true);
+        sharedLlc->tags().touch(slot);
         ++sharedLlc->ddioUpdates;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheDdioUpdate,
                            now(), 0, 0, addr);
         return;
     }
-
-    // P1/P5: write-allocate into the DDIO ways.
-    LineRef slot =
-        sharedLlc->tags().findFillSlot(addr, sharedLlc->ddioMask());
-    const bool displaced = slot.line->valid;
+    const bool displaced = slot.valid();
     if (displaced) {
-        evictLlcLine(*slot.line);
+        evictLlcLine(slot);
         ++sharedLlc->ddioWayEvictions;
     }
-    sharedLlc->tags().fill(slot, addr, true, true).ddioAlloc = true;
+    sharedLlc->tags().fill(slot, addr, true, true);
+    slot.setDdioAlloc(true);
     ++sharedLlc->ddioAllocs;
     IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheDdioAlloc, now(),
                        0, displaced ? 1 : 0, addr);
@@ -519,36 +508,29 @@ MemoryHierarchy::pcieRead(sim::Addr addr)
     ++pcieReads;
 
     // Pull dirty MLC copies back into the LLC and invalidate them
-    // (paper Fig. 3 right: egress reads invalidate MLC copies).
-    std::uint64_t sharers = dir->sharersOf(addr);
-    if (sharers) {
-        for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-            if (!(sharers & (std::uint64_t(1) << c)))
-                continue;
-            bool l1Dirty = false;
-            dropFromL1(c, addr, &l1Dirty);
-            if (LineRef ref = mlcs[c]->probe(addr)) {
-                const bool dirty = ref.line->dirty || l1Dirty;
-                const bool io = ref.line->io;
-                notePrefetchGone(c, *ref.line);
-                mlcs[c]->tags().invalidate(ref);
-                ++mlcs[c]->pcieInvals;
-                IDIO_TRACE_INSTANT(
-                    trc, trace::EventKind::CachePcieInval, now(), 0,
-                    c, addr);
-                if (dirty) {
-                    ++mlcs[c]->writebacks;
-                    IDIO_TRACE_INSTANT(
-                        trc, trace::EventKind::CacheMlcEvict, now(),
-                        0, 1, addr);
-                    llcInsertVictim(addr, true, io, ~WayMask(0));
-                    if (mlcWbObserver)
-                        mlcWbObserver(c);
-                }
+    // (paper Fig. 3 right: egress reads invalidate MLC copies). The
+    // directory entry goes first: nothing below touches it.
+    forEachSharer(dir->takeSharers(addr), [&](sim::CoreId c) {
+        bool l1Dirty = false;
+        dropFromL1(c, addr, &l1Dirty);
+        if (LineRef ref = mlcs[c]->probe(addr)) {
+            const bool dirty = ref.dirty() || l1Dirty;
+            const bool io = ref.io();
+            notePrefetchGone(c, ref.prefetched());
+            mlcs[c]->tags().invalidate(ref);
+            ++mlcs[c]->pcieInvals;
+            IDIO_TRACE_INSTANT(trc, trace::EventKind::CachePcieInval,
+                               now(), 0, c, addr);
+            if (dirty) {
+                ++mlcs[c]->writebacks;
+                IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheMlcEvict,
+                                   now(), 0, 1, addr);
+                llcInsertVictim(addr, true, io, ~WayMask(0));
+                if (mlcWbObserver)
+                    mlcWbObserver(c);
             }
         }
-        dir->removeAll(addr);
-    }
+    });
 
     if (LineRef ref = sharedLlc->probe(addr)) {
         sharedLlc->tags().touch(ref);
@@ -573,8 +555,8 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
         bool dirty = false;
         bool io = false;
         if (LineRef ref = sharedLlc->probe(addr)) {
-            dirty = ref.line->dirty;
-            io = ref.line->io;
+            dirty = ref.dirty();
+            io = ref.io();
             ++sharedLlc->demandMoves;
             sharedLlc->tags().invalidate(ref);
         } else if (cfg.prefetchFromDram) {
@@ -607,8 +589,8 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
     bool dirty = false;
     bool io = false;
     if (LineRef ref = sharedLlc->probe(addr)) {
-        dirty = ref.line->dirty;
-        io = ref.line->io;
+        dirty = ref.dirty();
+        io = ref.io();
         ++sharedLlc->demandMoves;
         sharedLlc->tags().invalidate(ref);
     } else if (cfg.prefetchFromDram) {
@@ -652,7 +634,7 @@ MemoryHierarchy::splitCoreAccess(sim::CoreId core, sim::Addr addr,
         ++l1c.hits;
         l1c.tags().touch(ref);
         if (isWrite)
-            ref.line->dirty = true;
+            ref.setDirty(true);
         return {lat, mem::HitLevel::L1, false};
     }
     ++l1c.misses;
@@ -662,8 +644,8 @@ MemoryHierarchy::splitCoreAccess(sim::CoreId core, sim::Addr addr,
     if (LineRef ref = mlcc.probe(addr)) {
         ++mlcc.hits;
         mlcc.tags().touch(ref);
-        if (ref.line->prefetched) {
-            ref.line->prefetched = false;
+        if (ref.prefetched()) {
+            ref.setPrefetched(false);
             if (splitHooks.prefetchRetire)
                 splitHooks.prefetchRetire(core);
         }
@@ -690,7 +672,7 @@ MemoryHierarchy::splitCoreAccess(sim::CoreId core, sim::Addr addr,
 void
 MemoryHierarchy::splitEvictMlcVictim(sim::CoreId core, CacheLine victim)
 {
-    splitNotePrefetchGone(core, victim);
+    splitNotePrefetchGone(core, victim.prefetched);
 
     bool l1Dirty = false;
     dropFromL1(core, victim.addr, &l1Dirty);
@@ -713,23 +695,23 @@ MemoryHierarchy::splitInstallFill(sim::CoreId core, sim::Addr addr,
                                   bool dirty, bool io, bool write)
 {
     PrivateCache &mlcc = *mlcs[core];
-    if (LineRef ref = mlcc.probe(addr)) {
+    const auto [slot, hit] = mlcc.tags().lookupOrFillSlot(addr);
+    if (hit) {
         // A prefetch install raced ahead of this demand fill: merge
         // into the existing line and retire the prefetch credit.
-        mlcc.tags().touch(ref);
-        ref.line->dirty = ref.line->dirty || dirty;
-        ref.line->io = ref.line->io || io;
-        if (ref.line->prefetched) {
-            ref.line->prefetched = false;
+        mlcc.tags().touch(slot);
+        slot.setDirty(slot.dirty() || dirty);
+        slot.setIo(slot.io() || io);
+        if (slot.prefetched()) {
+            slot.setPrefetched(false);
             if (splitHooks.prefetchRetire)
                 splitHooks.prefetchRetire(core);
         }
         l1Fill(core, addr, write);
         return;
     }
-    LineRef slot = mlcc.tags().findFillSlot(addr);
-    if (slot.line->valid)
-        splitEvictMlcVictim(core, *slot.line);
+    if (slot.valid())
+        splitEvictMlcVictim(core, slot.line());
     mlcc.tags().fill(slot, addr, dirty, io);
     ++mlcc.fills;
     l1Fill(core, addr, write);
@@ -748,10 +730,10 @@ MemoryHierarchy::splitInstallPrefetch(sim::CoreId core, sim::Addr addr,
         return;
     }
     LineRef slot = mlcc.tags().findFillSlot(addr);
-    if (slot.line->valid)
-        splitEvictMlcVictim(core, *slot.line);
-    CacheLine &line = mlcc.tags().fill(slot, addr, dirty, io);
-    line.prefetched = true;
+    if (slot.valid())
+        splitEvictMlcVictim(core, slot.line());
+    mlcc.tags().fill(slot, addr, dirty, io);
+    slot.setPrefetched(true);
     ++mlcc.prefetchFills;
 }
 
@@ -762,7 +744,7 @@ MemoryHierarchy::splitHandleMlcInval(sim::CoreId core, sim::Addr addr)
     // dirty copy drops without a writeback (as in the legacy path).
     dropFromL1(core, addr);
     if (LineRef ref = mlcs[core]->probe(addr)) {
-        splitNotePrefetchGone(core, *ref.line);
+        splitNotePrefetchGone(core, ref.prefetched());
         mlcs[core]->tags().invalidate(ref);
         ++mlcs[core]->pcieInvals;
     }
@@ -774,9 +756,9 @@ MemoryHierarchy::splitHandleBackInval(sim::CoreId core, sim::Addr addr)
     bool l1Dirty = false;
     dropFromL1(core, addr, &l1Dirty);
     if (LineRef ref = mlcs[core]->probe(addr)) {
-        const bool dirty = ref.line->dirty || l1Dirty;
-        const bool io = ref.line->io;
-        splitNotePrefetchGone(core, *ref.line);
+        const bool dirty = ref.dirty() || l1Dirty;
+        const bool io = ref.io();
+        splitNotePrefetchGone(core, ref.prefetched());
         mlcs[core]->tags().invalidate(ref);
         ++mlcs[core]->backInvals;
         if (dirty)
@@ -800,8 +782,8 @@ MemoryHierarchy::splitHandleFillReq(sim::CoreId core, sim::Addr addr)
     if (LineRef ref = sharedLlc->probe(addr)) {
         ++sharedLlc->hits;
         ++sharedLlc->demandMoves;
-        reply.dirty = ref.line->dirty;
-        reply.io = ref.line->io;
+        reply.dirty = ref.dirty();
+        reply.io = ref.io();
         sharedLlc->tags().invalidate(ref);
         reply.level = mem::HitLevel::LLC;
     } else {
@@ -850,12 +832,10 @@ MemoryHierarchy::splitDirectoryVictim(const DirectoryVictim &victim)
 {
     // Fire-and-forget: the directory entry is gone already; dirty data
     // comes back later through the sharers' victim-writeback messages.
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (!(victim.sharers & (std::uint64_t(1) << c)))
-            continue;
+    forEachSharer(victim.sharers, [&](sim::CoreId c) {
         if (splitHooks.backInval)
             splitHooks.backInval(c, victim.addr);
-    }
+    });
 }
 
 std::uint64_t

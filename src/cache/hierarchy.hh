@@ -26,6 +26,7 @@
 #ifndef IDIO_CACHE_HIERARCHY_HH
 #define IDIO_CACHE_HIERARCHY_HH
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -312,8 +313,8 @@ class MemoryHierarchy : public sim::SimObject
     void llcInsertVictim(sim::Addr addr, bool dirty, bool io,
                          WayMask allocMask);
 
-    /** Evict a valid LLC line (DRAM write when dirty). */
-    void evictLlcLine(const CacheLine &line);
+    /** Evict the valid LLC line in @p slot (DRAM write when dirty). */
+    void evictLlcLine(const LineRef &slot);
 
     /** Fill @p core 's L1 with @p addr (must already be in MLC). */
     void l1Fill(sim::CoreId core, sim::Addr addr, bool makeDirty);
@@ -353,11 +354,21 @@ class MemoryHierarchy : public sim::SimObject
     void splitDirectoryVictim(const DirectoryVictim &victim);
     /** @} */
 
+    /** Call @p fn(core) for each core in @p sharers, lowest first. */
+    template <typename Fn>
+    void
+    forEachSharer(std::uint64_t sharers, Fn &&fn) const
+    {
+        for (WayMask m = sharers & lowWays(cfg.numCores); m != 0;
+             m &= m - 1)
+            fn(static_cast<sim::CoreId>(std::countr_zero(m)));
+    }
+
     /** Fire the retire hook when a departing line was prefetched. */
     void
-    notePrefetchGone(sim::CoreId core, const CacheLine &line)
+    notePrefetchGone(sim::CoreId core, bool prefetched)
     {
-        if (line.prefetched && prefetchRetireObserver)
+        if (prefetched && prefetchRetireObserver)
             prefetchRetireObserver(core);
     }
 
@@ -367,9 +378,9 @@ class MemoryHierarchy : public sim::SimObject
      * the observer directly.
      */
     void
-    splitNotePrefetchGone(sim::CoreId core, const CacheLine &line)
+    splitNotePrefetchGone(sim::CoreId core, bool prefetched)
     {
-        if (line.prefetched && splitHooks.prefetchRetire)
+        if (prefetched && splitHooks.prefetchRetire)
             splitHooks.prefetchRetire(core);
     }
 

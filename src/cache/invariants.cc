@@ -104,10 +104,11 @@ checkDirectoryConsistency(MemoryHierarchy &hier,
     }
 
     // Backward: every directory sharer bit points at a real MLC copy.
-    forEachValid(dir.tags(), [&](const CacheLine &entry, std::uint32_t,
-                                 std::uint32_t) {
+    forEachValid(dir.tags(), [&](const CacheLine &entry, std::uint32_t set,
+                                 std::uint32_t way) {
+        const std::uint64_t sharers = dir.sharersAt(set, way);
         for (sim::CoreId c = 0; c < 64; ++c) {
-            if (!(entry.sharers & (std::uint64_t(1) << c)))
+            if (!(sharers & (std::uint64_t(1) << c)))
                 continue;
             if (c >= hier.numCores()) {
                 report.fail("directory entry " + hexAddr(entry.addr) +

@@ -57,7 +57,7 @@ NonInclusiveLlc::setDdioWays(std::uint32_t ways)
     if (ways < nDdioWays) {
         for (std::uint32_t s = 0; s < array.numSets(); ++s) {
             for (std::uint32_t w = ways; w < nDdioWays; ++w)
-                array.lineAt(s, w).ddioAlloc = false;
+                array.slotAt(s, w).setDdioAlloc(false);
         }
     }
     nDdioWays = ways;

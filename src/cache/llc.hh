@@ -59,7 +59,7 @@ class NonInclusiveLlc : public sim::SimObject
 
     bool contains(sim::Addr addr) const
     {
-        return array.peek(addr) != nullptr;
+        return array.contains(addr);
     }
 
     /** Valid lines currently in DDIO ways. */

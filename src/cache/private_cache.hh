@@ -44,7 +44,7 @@ class PrivateCache : public sim::SimObject
     /** True when the (aligned) address is cached. */
     bool contains(sim::Addr addr) const
     {
-        return array.peek(addr) != nullptr;
+        return array.contains(addr);
     }
 
     void serialize(ckpt::Serializer &s) const override;

@@ -18,8 +18,8 @@ namespace
 std::uint32_t
 setsFromSize(std::uint64_t sizeBytes, std::uint32_t assoc)
 {
-    if (assoc == 0 || assoc > 64)
-        sim::fatal("cache associativity %u out of range [1, 64]", assoc);
+    // Before the division below; checkedSets repeats it harmlessly.
+    TagArray::checkAssoc(assoc);
     const std::uint64_t lines = sizeBytes / mem::lineSize;
     if (lines == 0 || lines % assoc != 0) {
         sim::fatal("cache size %llu not divisible into %u ways of "
@@ -29,7 +29,37 @@ setsFromSize(std::uint64_t sizeBytes, std::uint32_t assoc)
     return static_cast<std::uint32_t>(lines / assoc);
 }
 
+/** Geometry checks shared by every constructor, before allocation. */
+std::uint32_t
+checkedSets(std::uint32_t numSets, std::uint32_t assoc)
+{
+    TagArray::checkAssoc(assoc);
+    if (numSets == 0)
+        sim::fatal("cache needs at least one set");
+    return numSets;
+}
+
 } // anonymous namespace
+
+SetReducer::SetReducer(std::uint32_t d) : div(d)
+{
+    SIM_ASSERT(d >= 3 && !std::has_single_bit(d),
+               "SetReducer needs a non-power-of-two divisor");
+    const unsigned k = std::max<unsigned>(
+        lineBits + static_cast<unsigned>(std::bit_width(d - 1)), 64);
+    const unsigned __int128 m =
+        ((static_cast<unsigned __int128>(1) << k) + d - 1) / d;
+    SIM_ASSERT((m >> 64) == 0, "SetReducer multiplier overflows");
+    mul = static_cast<std::uint64_t>(m);
+    shift = k - 64;
+}
+
+void
+TagArray::checkAssoc(std::uint32_t assoc)
+{
+    if (assoc == 0 || assoc > 64)
+        sim::fatal("cache associativity %u out of range [1, 64]", assoc);
+}
 
 TagArray::TagArray(std::uint64_t sizeBytes, std::uint32_t assoc,
                    std::unique_ptr<ReplacementPolicy> policy)
@@ -40,13 +70,14 @@ TagArray::TagArray(std::uint64_t sizeBytes, std::uint32_t assoc,
 
 TagArray::TagArray(std::uint32_t numSets, std::uint32_t assoc,
                    std::unique_ptr<ReplacementPolicy> pol, int)
-    : nSets(numSets), nWays(assoc),
-      setsPow2(numSets != 0 && (numSets & (numSets - 1)) == 0),
+    : nSets(checkedSets(numSets, assoc)), nWays(assoc),
+      setsPow2(std::has_single_bit(numSets)),
       setMask(numSets - 1), policy(std::move(pol)),
-      lines(std::size_t(numSets) * assoc),
-      tags(std::size_t(numSets) * assoc, invalidTag),
+      slots(std::size_t(numSets) * assoc, SlotBits::invalid),
       freeWays(numSets, lowWays(assoc))
 {
+    if (!setsPow2)
+        reduce = SetReducer(numSets);
     policy->init(nSets, nWays);
     if (policy->kind() == ReplKind::Lru)
         lruFast = static_cast<LruPolicy *>(policy.get());
@@ -59,53 +90,19 @@ TagArray::withSets(std::uint32_t numSets, std::uint32_t assoc,
     return TagArray(numSets, assoc, std::move(policy), 0);
 }
 
-CacheLine &
-TagArray::fill(const LineRef &slot, sim::Addr addr, bool dirty, bool io)
-{
-    CacheLine &l = *slot.line;
-    l.addr = mem::lineAlign(addr);
-    l.valid = true;
-    l.dirty = dirty;
-    l.io = io;
-    l.prefetched = false;
-    l.ddioAlloc = false;
-    l.sharers = 0;
-    tags[std::size_t(slot.set) * nWays + slot.way] = l.addr;
-    freeWays[slot.set] &= ~(WayMask(1) << slot.way);
-    // LruPolicy::fill == touch; skip the two virtual hops.
-    if (lruFast)
-        lruFast->touchFast(slot.set, slot.way);
-    else
-        policy->fill(slot.set, slot.way);
-    return l;
-}
-
-void
-TagArray::invalidate(const LineRef &slot)
-{
-    CacheLine &l = *slot.line;
-    l.valid = false;
-    l.dirty = false;
-    l.io = false;
-    l.prefetched = false;
-    l.ddioAlloc = false;
-    l.sharers = 0;
-    tags[std::size_t(slot.set) * nWays + slot.way] = invalidTag;
-    freeWays[slot.set] |= WayMask(1) << slot.way;
-}
-
 std::uint64_t
 TagArray::countValid(
     const std::function<bool(const CacheLine &, std::uint32_t)> &pred)
     const
 {
     std::uint64_t n = 0;
-    for (std::uint32_t s = 0; s < nSets; ++s) {
-        for (std::uint32_t w = 0; w < nWays; ++w) {
-            const CacheLine &l = lineAt(s, w);
-            if (l.valid && (!pred || pred(l, w)))
-                ++n;
-        }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (slots[i] & SlotBits::invalid)
+            continue;
+        if (!pred ||
+            pred(SlotBits::decode(slots[i]),
+                 static_cast<std::uint32_t>(i % nWays)))
+            ++n;
     }
     return n;
 }
@@ -113,34 +110,37 @@ TagArray::countValid(
 void
 TagArray::clear()
 {
-    for (auto &l : lines)
-        l = CacheLine{};
-    std::fill(tags.begin(), tags.end(), invalidTag);
+    std::fill(slots.begin(), slots.end(), SlotBits::invalid);
     std::fill(freeWays.begin(), freeWays.end(), lowWays(nWays));
 }
 
 void
-TagArray::serialize(ckpt::Serializer &s) const
+TagArray::serialize(ckpt::Serializer &s,
+                    std::span<const std::uint64_t> sharers) const
 {
-    // Field by field: CacheLine has padding between the flag bytes and
-    // the sharers word, and padding must never reach a checkpoint.
+    SIM_ASSERT(sharers.empty() || sharers.size() == slots.size(),
+               "one sharer mask per slot");
     s.writeU32(nSets);
     s.writeU32(nWays);
-    for (const CacheLine &l : lines) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        const CacheLine l = SlotBits::decode(slots[i]);
         s.writeU64(l.addr);
         s.writeBool(l.valid);
         s.writeBool(l.dirty);
         s.writeBool(l.io);
         s.writeBool(l.prefetched);
         s.writeBool(l.ddioAlloc);
-        s.writeU64(l.sharers);
+        s.writeU64(sharers.empty() ? 0 : sharers[i]);
     }
     policy->serialize(s);
 }
 
 void
-TagArray::unserialize(ckpt::Deserializer &d)
+TagArray::unserialize(ckpt::Deserializer &d,
+                      std::span<std::uint64_t> sharers)
 {
+    SIM_ASSERT(sharers.empty() || sharers.size() == slots.size(),
+               "one sharer mask per slot");
     const std::uint32_t sets = d.readU32();
     const std::uint32_t ways = d.readU32();
     if (sets != nSets || ways != nWays) {
@@ -148,23 +148,35 @@ TagArray::unserialize(ckpt::Deserializer &d)
                    "%ux%u, config %ux%u)",
                    sets, ways, nSets, nWays);
     }
-    for (CacheLine &l : lines) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        CacheLine l;
         l.addr = d.readU64();
         l.valid = d.readBool();
         l.dirty = d.readBool();
         l.io = d.readBool();
         l.prefetched = d.readBool();
         l.ddioAlloc = d.readBool();
-        l.sharers = d.readU64();
+        const std::uint64_t mask = d.readU64();
+        if (!mem::isLineAligned(l.addr)) {
+            sim::fatal("ckpt: tag-array slot %zu holds unaligned "
+                       "address %#llx",
+                       i, (unsigned long long)l.addr);
+        }
+        if (sharers.empty()) {
+            if (mask != 0)
+                sim::fatal("ckpt: sharer mask on a non-directory tag "
+                           "array (slot %zu)",
+                           i);
+        } else {
+            sharers[i] = mask;
+        }
+        slots[i] = SlotBits::encode(l);
     }
-    // Rebuild the derived lookup structures.
+    // Rebuild the derived free-way masks.
     for (std::uint32_t set = 0; set < nSets; ++set) {
         WayMask free = 0;
         for (std::uint32_t w = 0; w < nWays; ++w) {
-            const CacheLine &l = lineAt(set, w);
-            tags[std::size_t(set) * nWays + w] =
-                l.valid ? l.addr : invalidTag;
-            if (!l.valid)
+            if (slots[std::size_t(set) * nWays + w] & SlotBits::invalid)
                 free |= WayMask(1) << w;
         }
         freeWays[set] = free;

@@ -3,10 +3,10 @@
  * Generic set-associative tag array.
  *
  * TagArray is the storage substrate shared by the private caches, the
- * non-inclusive LLC, and the Excl-MLC directory. It stores one
- * CacheLine per (set, way), performs lookups by cacheline address, and
- * delegates victim choice to a ReplacementPolicy with masked candidate
- * sets.
+ * non-inclusive LLC, and the Excl-MLC directory. It stores one packed
+ * 8-byte slot word per (set, way), performs lookups by cacheline
+ * address, and delegates victim choice to a ReplacementPolicy with
+ * masked candidate sets.
  */
 
 #ifndef IDIO_CACHE_TAG_ARRAY_HH
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -27,7 +28,8 @@ namespace cache
 {
 
 /**
- * State of one cacheline slot.
+ * Decoded state of one cacheline slot (a value, not storage: the
+ * array keeps the packed slot word, see SlotBits).
  *
  * `io` is a sticky provenance bit: set when the line was produced by a
  * DMA write and carried along as the line migrates between levels. It
@@ -54,30 +56,127 @@ struct CacheLine
      * confined to the configured DDIO ways.
      */
     bool ddioAlloc = false;
-
-    /** Presence bit-vector; used only by the MLC directory. */
-    std::uint64_t sharers = 0;
 };
 
-/** Location of a line inside a TagArray. */
+/**
+ * Layout of a slot word: the line-aligned address in bits 63..6 and
+ * the state flags in the always-zero line-offset bits. An invalid slot
+ * keeps its (stale) address and sets `invalid`, so it can never equal
+ * a line-aligned probe under keyMask.
+ */
+namespace SlotBits
+{
+inline constexpr std::uint64_t invalid = 1u << 0;
+inline constexpr std::uint64_t dirty = 1u << 1;
+inline constexpr std::uint64_t io = 1u << 2;
+inline constexpr std::uint64_t prefetched = 1u << 3;
+inline constexpr std::uint64_t ddioAlloc = 1u << 4;
+/** Bits a lookup compares: the address plus `invalid`. */
+inline constexpr std::uint64_t keyMask =
+    ~(dirty | io | prefetched | ddioAlloc);
+static_assert(mem::lineSize >= 32, "flags must fit the offset bits");
+
+constexpr std::uint64_t
+encode(const CacheLine &l)
+{
+    return l.addr | (l.valid ? 0 : invalid) | (l.dirty ? dirty : 0) |
+           (l.io ? io : 0) | (l.prefetched ? prefetched : 0) |
+           (l.ddioAlloc ? ddioAlloc : 0);
+}
+
+constexpr CacheLine
+decode(std::uint64_t w)
+{
+    return CacheLine{mem::lineAlign(w), (w & invalid) == 0,
+                     (w & dirty) != 0, (w & io) != 0,
+                     (w & prefetched) != 0, (w & ddioAlloc) != 0};
+}
+} // namespace SlotBits
+
+/**
+ * Location of a line inside a TagArray plus accessors on its slot
+ * word. A null LineRef (lookup miss) refers to no slot.
+ */
 struct LineRef
 {
     std::uint32_t set = 0;
     std::uint32_t way = 0;
-    CacheLine *line = nullptr;
+    std::uint64_t *word = nullptr;
 
-    explicit operator bool() const { return line != nullptr; }
+    explicit operator bool() const { return word != nullptr; }
+
+    /** @{ Decoded fields of the referenced slot. */
+    sim::Addr addr() const { return mem::lineAlign(*word); }
+    bool valid() const { return !(*word & SlotBits::invalid); }
+    bool dirty() const { return *word & SlotBits::dirty; }
+    bool io() const { return *word & SlotBits::io; }
+    bool prefetched() const { return *word & SlotBits::prefetched; }
+    bool ddioAlloc() const { return *word & SlotBits::ddioAlloc; }
+    CacheLine line() const { return SlotBits::decode(*word); }
+    /** @} */
+
+    /**
+     * @{ Flag setters; the address and validity never change here.
+     * const like a pointer: they write the slot, not the reference.
+     */
+    void setDirty(bool v) const { setBit(SlotBits::dirty, v); }
+    void setIo(bool v) const { setBit(SlotBits::io, v); }
+    void setPrefetched(bool v) const { setBit(SlotBits::prefetched, v); }
+    void setDdioAlloc(bool v) const { setBit(SlotBits::ddioAlloc, v); }
+    /** @} */
+
+  private:
+    void
+    setBit(std::uint64_t bit, bool v) const
+    {
+        *word = v ? (*word | bit) : (*word & ~bit);
+    }
 };
 
 /**
- * Set-associative array of CacheLines.
+ * Exact `n % d` for a 32-bit divisor and any cacheline number n
+ * (n < 2^58, since lines are 64 B) without a division: with
+ * k = max(58 + ceil(log2 d), 64) and m = ceil(2^k / d), floor(n / d)
+ * equals floor(n * m / 2^k) for every such n (Granlund & Montgomery,
+ * "Division by invariant integers using multiplication", Thm. 4.2),
+ * and m fits in 64 bits whenever d is not a power of two.
+ */
+class SetReducer
+{
+  public:
+    /** Bits of a cacheline number. */
+    static constexpr unsigned lineBits = 64 - mem::lineShift;
+
+    SetReducer() = default;
+
+    /** @p d must be >= 3 and not a power of two (those take a mask). */
+    explicit SetReducer(std::uint32_t d);
+
+    std::uint32_t
+    operator()(std::uint64_t line) const
+    {
+        const auto q = static_cast<std::uint64_t>(
+                           (static_cast<unsigned __int128>(line) * mul) >>
+                           64) >>
+                       shift;
+        return static_cast<std::uint32_t>(line - q * div);
+    }
+
+  private:
+    std::uint64_t mul = 0;
+    std::uint64_t div = 1;
+    unsigned shift = 0; ///< k - 64
+};
+
+/**
+ * Set-associative array of packed slot words.
  */
 class TagArray
 {
   public:
     /**
      * @param sizeBytes Total capacity (must be numSets*assoc*64).
-     * @param assoc Ways per set.
+     * @param assoc Ways per set, in [1, 64].
      * @param policy Replacement policy (owned).
      */
     TagArray(std::uint64_t sizeBytes, std::uint32_t assoc,
@@ -86,6 +185,9 @@ class TagArray
     /** Construct with an explicit set count instead of a byte size. */
     static TagArray withSets(std::uint32_t numSets, std::uint32_t assoc,
                              std::unique_ptr<ReplacementPolicy> policy);
+
+    /** fatal() unless @p assoc is in [1, 64] (the WayMask width). */
+    static void checkAssoc(std::uint32_t assoc);
 
     std::uint32_t numSets() const { return nSets; }
     std::uint32_t assoc() const { return nWays; }
@@ -96,8 +198,8 @@ class TagArray
 
     /**
      * Set index for an address. Power-of-two set counts (every Table I
-     * geometry) take a bitmask fast path; the generic modulo is kept
-     * for odd geometries such as coverage-scaled directories.
+     * geometry) take a bitmask; others (coverage-scaled directories)
+     * an exact multiply-shift reduction.
      */
     std::uint32_t
     setIndex(sim::Addr addr) const
@@ -105,44 +207,37 @@ class TagArray
         const std::uint64_t line = mem::lineNumber(addr);
         if (setsPow2)
             return static_cast<std::uint32_t>(line & setMask);
-        return static_cast<std::uint32_t>(line % nSets);
+        return reduce(line);
     }
 
     /**
      * Find a valid line matching @p addr; LineRef is null on miss.
-     *
-     * Scans the dense tag side-array rather than the CacheLine structs:
-     * one set's tags span two cachelines instead of six, and invalid
-     * slots hold a misaligned sentinel that can never compare equal to
-     * a line-aligned probe, so the loop is a single branchless compare
-     * per way.
+     * One masked compare per way over the set's contiguous slot words.
      */
     LineRef
     lookup(sim::Addr addr)
     {
         addr = mem::lineAlign(addr);
         const std::uint32_t set = setIndex(addr);
-        const std::uint64_t *t = &tags[std::size_t(set) * nWays];
-        for (std::uint32_t w = 0; w < nWays; ++w) {
-            if (t[w] == addr)
-                return LineRef{set, w, &lineAt(set, w)};
-        }
-        return LineRef{set, 0, nullptr};
+        std::uint64_t *s = setWords(set);
+        const std::uint32_t w = findWay(s, addr);
+        return w < nWays ? LineRef{set, w, s + w} : LineRef{set, 0, nullptr};
     }
 
-    /** const lookup. */
-    const CacheLine *
-    peek(sim::Addr addr) const
+    /** Slot index (set * assoc + way) of @p addr, or npos on a miss. */
+    std::size_t
+    find(sim::Addr addr) const
     {
         addr = mem::lineAlign(addr);
         const std::uint32_t set = setIndex(addr);
-        const std::uint64_t *t = &tags[std::size_t(set) * nWays];
-        for (std::uint32_t w = 0; w < nWays; ++w) {
-            if (t[w] == addr)
-                return &lineAt(set, w);
-        }
-        return nullptr;
+        const std::uint32_t w = findWay(setWords(set), addr);
+        return w < nWays ? std::size_t(set) * nWays + w : npos;
     }
+
+    static constexpr std::size_t npos = ~std::size_t(0);
+
+    /** True when a valid line matches @p addr. */
+    bool contains(sim::Addr addr) const { return find(addr) != npos; }
 
     /** Record a use of an existing line. */
     void
@@ -163,44 +258,70 @@ class TagArray
     LineRef
     findFillSlot(sim::Addr addr, WayMask candidates = ~WayMask(0))
     {
+        return fillSlotIn(setIndex(addr), candidates);
+    }
+
+    /** Outcome of lookupOrFillSlot. */
+    struct Probe
+    {
+        LineRef slot; ///< the hit, else the fill slot
+        bool hit = false;
+    };
+
+    /**
+     * lookup() and, on a miss, findFillSlot() for one set-index
+     * computation and one scan: same hit, same slot, same victim.
+     */
+    Probe
+    lookupOrFillSlot(sim::Addr addr, WayMask candidates = ~WayMask(0))
+    {
         addr = mem::lineAlign(addr);
         const std::uint32_t set = setIndex(addr);
-        candidates &= lowWays(nWays);
-        SIM_ASSERT(candidates != 0, "no candidate ways for fill");
-
-        const WayMask free = candidates & freeWays[set];
-        if (free != 0) {
-            const auto w =
-                static_cast<std::uint32_t>(std::countr_zero(free));
-            return LineRef{set, w, &lineAt(set, w)};
-        }
-        const std::uint32_t victim =
-            lruFast ? lruFast->victimFast(set, candidates)
-                    : policy->victim(set, candidates);
-        return LineRef{set, victim, &lineAt(set, victim)};
+        std::uint64_t *s = setWords(set);
+        const std::uint32_t w = findWay(s, addr);
+        if (w < nWays)
+            return {LineRef{set, w, s + w}, true};
+        return {fillSlotIn(set, candidates), false};
     }
 
     /**
      * Install @p addr into @p slot (which the caller already emptied or
-     * chose to overwrite) and inform the policy.
+     * chose to overwrite) and inform the policy. Clears every other
+     * flag; the caller sets prefetched/ddioAlloc through @p slot.
      */
-    CacheLine &fill(const LineRef &slot, sim::Addr addr, bool dirty,
-                    bool io);
-
-    /** Invalidate the line in @p slot. */
-    void invalidate(const LineRef &slot);
-
-    /** Direct slot access. */
-    CacheLine &
-    lineAt(std::uint32_t set, std::uint32_t way)
+    void
+    fill(const LineRef &slot, sim::Addr addr, bool dirty, bool io)
     {
-        return lines[std::size_t(set) * nWays + way];
+        *slot.word = mem::lineAlign(addr) | (dirty ? SlotBits::dirty : 0) |
+                     (io ? SlotBits::io : 0);
+        freeWays[slot.set] &= ~(WayMask(1) << slot.way);
+        // LruPolicy::fill == touch; skip the two virtual hops.
+        if (lruFast)
+            lruFast->touchFast(slot.set, slot.way);
+        else
+            policy->fill(slot.set, slot.way);
     }
 
-    const CacheLine &
+    /** Invalidate the line in @p slot (its address stays, stale). */
+    void
+    invalidate(const LineRef &slot)
+    {
+        *slot.word = mem::lineAlign(*slot.word) | SlotBits::invalid;
+        freeWays[slot.set] |= WayMask(1) << slot.way;
+    }
+
+    /** Reference to slot (set, way), valid or not. */
+    LineRef
+    slotAt(std::uint32_t set, std::uint32_t way)
+    {
+        return LineRef{set, way, &slots[std::size_t(set) * nWays + way]};
+    }
+
+    /** Decoded state of slot (set, way). */
+    CacheLine
     lineAt(std::uint32_t set, std::uint32_t way) const
     {
-        return lines[std::size_t(set) * nWays + way];
+        return SlotBits::decode(slots[std::size_t(set) * nWays + way]);
     }
 
     /** Count valid lines satisfying @p pred (pred may be null = all). */
@@ -216,22 +337,63 @@ class TagArray
     ReplacementPolicy &replacementPolicy() { return *policy; }
 
     /**
-     * @{ Checkpoint the array contents plus the policy state. The
-     * geometry is structural (rebuilt from config); unserialize
-     * validates it and recomputes the derived tag/free-way arrays.
+     * @{ Checkpoint the array contents plus the policy state. Each slot
+     * is written decoded: addr, valid, dirty, io, prefetched,
+     * ddioAlloc, then its sharer mask — taken from @p sharers (one per
+     * slot, the directory's) or 0 when empty. The geometry is
+     * structural (rebuilt from config); unserialize validates it,
+     * fills @p sharers (a non-directory array rejects nonzero masks)
+     * and recomputes the free-way masks.
      */
-    void serialize(ckpt::Serializer &s) const;
-    void unserialize(ckpt::Deserializer &d);
+    void serialize(ckpt::Serializer &s,
+                   std::span<const std::uint64_t> sharers = {}) const;
+    void unserialize(ckpt::Deserializer &d,
+                     std::span<std::uint64_t> sharers = {});
     /** @} */
 
   private:
     TagArray(std::uint32_t numSets, std::uint32_t assoc,
              std::unique_ptr<ReplacementPolicy> policy, int);
 
+    std::uint64_t *setWords(std::uint32_t set)
+    {
+        return &slots[std::size_t(set) * nWays];
+    }
+    const std::uint64_t *setWords(std::uint32_t set) const
+    {
+        return &slots[std::size_t(set) * nWays];
+    }
+
+    /** Way of the valid slot in @p s equal to @p line, else nWays. */
+    std::uint32_t
+    findWay(const std::uint64_t *s, sim::Addr line) const
+    {
+        for (std::uint32_t w = 0; w < nWays; ++w) {
+            if ((s[w] & SlotBits::keyMask) == line)
+                return w;
+        }
+        return nWays;
+    }
+
+    LineRef
+    fillSlotIn(std::uint32_t set, WayMask candidates)
+    {
+        candidates &= lowWays(nWays);
+        SIM_ASSERT(candidates != 0, "no candidate ways for fill");
+
+        const WayMask free = candidates & freeWays[set];
+        const std::uint32_t w =
+            free != 0 ? static_cast<std::uint32_t>(std::countr_zero(free))
+            : lruFast ? lruFast->victimFast(set, candidates)
+                      : policy->victim(set, candidates);
+        return slotAt(set, w);
+    }
+
     std::uint32_t nSets;
     std::uint32_t nWays;
     bool setsPow2;          ///< nSets is a power of two
     std::uint32_t setMask;  ///< nSets - 1, valid when setsPow2
+    SetReducer reduce;      ///< line % nSets, valid when !setsPow2
     std::unique_ptr<ReplacementPolicy> policy;
 
     /**
@@ -241,16 +403,8 @@ class TagArray
      */
     LruPolicy *lruFast = nullptr;
 
-    std::vector<CacheLine> lines;
-
-    /**
-     * Tag of slot i is invalidTag when invalid, else lines[i].addr: a
-     * sentinel in the always-zero low line-offset bits keeps lookup a
-     * pure compare. fill/invalidate/clear maintain the invariant.
-     */
-    static constexpr std::uint64_t invalidTag = 1;
-    std::vector<std::uint64_t> tags;     ///< numSets * assoc
-    std::vector<WayMask> freeWays;       ///< per set: bit w = way invalid
+    std::vector<std::uint64_t> slots;  ///< numSets * assoc slot words
+    std::vector<WayMask> freeWays;     ///< per set: bit w = way invalid
 };
 
 } // namespace cache

@@ -51,15 +51,16 @@ TEST_F(DirectoryTest, RemoveAllDropsEntry)
 {
     dir.add(0, 0x80);
     dir.add(1, 0x80);
-    dir.removeAll(0x80);
+    EXPECT_EQ(dir.takeSharers(0x80), 0b11u);
     EXPECT_FALSE(dir.isTracked(0x80));
+    EXPECT_EQ(dir.trackedLines(), 0u);
 }
 
 TEST_F(DirectoryTest, RemoveUnknownIsNoop)
 {
     dir.remove(0, 0xdead00);
-    dir.removeAll(0xbeef00);
-    SUCCEED();
+    EXPECT_EQ(dir.takeSharers(0xbeef00), 0u);
+    EXPECT_EQ(dir.trackedLines(), 0u);
 }
 
 TEST_F(DirectoryTest, RepeatedAddIsIdempotent)

@@ -67,9 +67,9 @@ class HierarchyPropertyTest
             // I3: L1 subset of MLC.
             for (std::uint32_t s = 0; s < l1.numSets(); ++s) {
                 for (std::uint32_t w = 0; w < l1.assoc(); ++w) {
-                    const auto &line = l1.lineAt(s, w);
+                    const auto line = l1.lineAt(s, w);
                     if (line.valid) {
-                        ASSERT_NE(mlc.peek(line.addr), nullptr)
+                        ASSERT_TRUE(mlc.contains(line.addr))
                             << "L1 line not in MLC (core " << c << ")";
                     }
                 }
@@ -78,7 +78,7 @@ class HierarchyPropertyTest
             // I2 + I4 + I5 per MLC line.
             for (std::uint32_t s = 0; s < mlc.numSets(); ++s) {
                 for (std::uint32_t w = 0; w < mlc.assoc(); ++w) {
-                    const auto &line = mlc.lineAt(s, w);
+                    const auto line = mlc.lineAt(s, w);
                     if (!line.valid)
                         continue;
                     const auto sharers =

@@ -68,7 +68,7 @@ TEST_P(InvariantTest, ConservationLawsHold)
         const auto &mlc = sys.hierarchy().mlcOf(c).tags();
         for (std::uint32_t set = 0; set < mlc.numSets(); ++set) {
             for (std::uint32_t w = 0; w < mlc.assoc(); ++w) {
-                const auto &line = mlc.lineAt(set, w);
+                const auto line = mlc.lineAt(set, w);
                 if (!line.valid)
                     continue;
                 // Directory tracks every MLC line.

@@ -151,7 +151,7 @@ TEST_F(CacheCorruptionDeathTest, UntrackedMlcLinePanics)
 
     // Drop the directory entry while the MLC still holds the line.
     hier.coreRead(0, 0x1000);
-    hier.directory().removeAll(0x1000);
+    hier.directory().takeSharers(0x1000);
 
     EXPECT_DEATH(chk.check(), "untracked by the directory");
 }
@@ -188,10 +188,9 @@ TEST_F(CacheCorruptionDeathTest, DdioLineOutsideThePartitionPanics)
     const std::uint32_t set = tags.setIndex(0x4000);
     const std::uint32_t lastWay = tags.assoc() - 1;
     ASSERT_GE(lastWay, hier.llc().ddioWays());
-    cache::CacheLine &l = tags.lineAt(set, lastWay);
-    l.addr = 0x4000;
-    l.valid = true;
-    l.ddioAlloc = true;
+    const cache::LineRef slot = tags.slotAt(set, lastWay);
+    tags.fill(slot, 0x4000, false, false);
+    slot.setDdioAlloc(true);
 
     EXPECT_DEATH(chk.check(), "DDIO partition");
 }
