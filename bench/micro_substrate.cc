@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrate: raw
- * hierarchy operation throughput, event-queue scheduling, Toeplitz
- * hashing, TLP encoding, and classifier throughput. These quantify
+ * hierarchy operation throughput, event-queue scheduling, LRU
+ * replacement, Toeplitz hashing, TLP encoding, and classifier
+ * throughput. These quantify
  * simulator performance (host-side), not simulated metrics.
  */
 
@@ -151,6 +152,33 @@ BM_TagSetIndexGeneric(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_TagSetIndexGeneric);
+
+void
+BM_LruTouchVictim(benchmark::State &state)
+{
+    // Arg = ways (8: one age word per set; 12 and 16: two). Each
+    // iteration touches a pseudo-random way of a pseudo-random one of
+    // 4,096 sets and picks that set's victim among all ways and among
+    // a DDIO-style two-way mask.
+    const auto ways = static_cast<std::uint32_t>(state.range(0));
+    constexpr std::uint32_t sets = 4096;
+    cache::LruPolicy lru;
+    lru.init(sets, ways);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (auto _ : state) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const auto set = static_cast<std::uint32_t>(x % sets);
+        lru.touchFast(set,
+                      static_cast<std::uint32_t>((x >> 32 & 0xffff) * ways >>
+                                                 16));
+        benchmark::DoNotOptimize(lru.victimFast(set, cache::lowWays(ways)));
+        benchmark::DoNotOptimize(lru.victimFast(set, cache::lowWays(2)));
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_LruTouchVictim)->Arg(8)->Arg(12)->Arg(16);
 
 void
 BM_ObserverDelegate(benchmark::State &state)

@@ -45,24 +45,35 @@ DirectoryVictim
 MlcDirectory::add(sim::CoreId core, sim::Addr addr)
 {
     ++lookups;
-    const std::uint64_t bit = std::uint64_t(1) << core;
     const TagArray::Probe p = array.lookupOrFillSlot(addr);
-    std::uint64_t &mask = sharers[slotIndex(p.slot)];
     if (p.hit) {
-        mask |= bit;
+        sharers[slotIndex(p.slot)] |= std::uint64_t(1) << core;
         array.touch(p.slot);
         return {};
     }
+    return insert(core, addr, p.slot);
+}
 
+DirectoryVictim
+MlcDirectory::addUntracked(sim::CoreId core, sim::Addr addr)
+{
+    ++lookups;
+    return insert(core, addr, array.findFillSlot(addr));
+}
+
+DirectoryVictim
+MlcDirectory::insert(sim::CoreId core, sim::Addr addr, const LineRef &slot)
+{
+    std::uint64_t &mask = sharers[slotIndex(slot)];
     DirectoryVictim victim;
-    if (p.slot.valid()) {
+    if (slot.valid()) {
         victim.valid = true;
-        victim.addr = p.slot.addr();
+        victim.addr = slot.addr();
         victim.sharers = mask;
         ++capacityEvictions;
     }
-    array.fill(p.slot, addr, false, false);
-    mask = bit;
+    array.fill(slot, addr, false, false);
+    mask = std::uint64_t(1) << core;
     ++insertions;
     return victim;
 }

@@ -74,6 +74,12 @@ class MlcDirectory : public sim::SimObject
      */
     DirectoryVictim add(sim::CoreId core, sim::Addr addr);
 
+    /**
+     * add() for a line the caller has proved untracked (sharersOf()
+     * is 0): the same slot, victim and counters without the tag scan.
+     */
+    DirectoryVictim addUntracked(sim::CoreId core, sim::Addr addr);
+
     /** Record that @p core 's MLC dropped @p addr. */
     void remove(sim::CoreId core, sim::Addr addr);
 
@@ -111,6 +117,10 @@ class MlcDirectory : public sim::SimObject
     {
         return std::size_t(ref.set) * array.assoc() + ref.way;
     }
+
+    /** Insert @p addr for @p core into the fill slot @p slot. */
+    DirectoryVictim insert(sim::CoreId core, sim::Addr addr,
+                           const LineRef &slot);
 
     TagArray array;
 

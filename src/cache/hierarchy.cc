@@ -131,7 +131,8 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
         bool dirty = false;
         bool io = false;
         if (migrateFromPeers(core, addr, &dirty, &io)) {
-            installMlc(core, addr, dirty, io, false);
+            installMlc(core, mlcc.tags().findFillSlot(addr), addr, dirty,
+                       io, false);
             l1Fill(core, addr, isWrite);
             return {lat, mem::HitLevel::LLC};
         }
@@ -156,17 +157,18 @@ MemoryHierarchy::coreAccess(sim::CoreId core, sim::Addr addr,
         level = mem::HitLevel::DRAM;
     }
 
-    installMlc(core, addr, dirty, io, false);
+    installMlc(core, mlcc.tags().findFillSlot(addr), addr, dirty, io,
+               false);
     l1Fill(core, addr, isWrite);
     return {lat, level};
 }
 
 void
-MemoryHierarchy::installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
-                            bool io, bool isPrefetch)
+MemoryHierarchy::installMlc(sim::CoreId core, const LineRef &slot,
+                            sim::Addr addr, bool dirty, bool io,
+                            bool isPrefetch)
 {
     PrivateCache &mlcc = *mlcs[core];
-    LineRef slot = mlcc.tags().findFillSlot(addr);
     if (slot.valid())
         evictMlcVictim(core, slot.line());
     mlcc.tags().fill(slot, addr, dirty, io);
@@ -181,7 +183,8 @@ MemoryHierarchy::installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
                            0, core, addr);
     }
 
-    DirectoryVictim dv = dir->add(core, addr);
+    DirectoryVictim dv = isPrefetch ? dir->addUntracked(core, addr)
+                                    : dir->add(core, addr);
     if (dv.valid)
         handleDirectoryVictim(dv);
 }
@@ -377,9 +380,12 @@ MemoryHierarchy::handleDirectoryVictim(const DirectoryVictim &victim)
 }
 
 bool
-MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
+MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr,
+                                bool *mlcDropped)
 {
     addr = mem::lineAlign(addr);
+    if (mlcDropped)
+        *mlcDropped = false;
     if (cfg.pageAttributes && !cfg.pageAttributes->isInvalidatable(addr)) {
         if (splitOn) {
             // The fault counter is uncore state; a faulting
@@ -400,6 +406,8 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
             splitNotePrefetchGone(core, ref.prefetched());
             mlcs[core]->tags().invalidate(ref);
             ++mlcs[core]->selfInvals;
+            if (mlcDropped)
+                *mlcDropped = true;
         }
         // Directory (and optional LLC) upkeep happens uncore-side;
         // send unconditionally, mirroring the legacy dir->remove.
@@ -413,6 +421,8 @@ MemoryHierarchy::coreInvalidate(sim::CoreId core, sim::Addr addr)
         notePrefetchGone(core, ref.prefetched());
         mlcs[core]->tags().invalidate(ref);
         ++mlcs[core]->selfInvals;
+        if (mlcDropped)
+            *mlcDropped = true;
         IDIO_TRACE_INSTANT(trc, trace::EventKind::CacheSelfInval,
                            now(), 0, core, addr);
     }
@@ -435,9 +445,9 @@ MemoryHierarchy::invalidateRange(sim::CoreId core, sim::Addr addr,
     const sim::Addr first = mem::lineAlign(addr);
     const sim::Addr last = mem::lineAlign(addr + bytes - 1);
     for (sim::Addr a = first; a <= last; a += mem::lineSize) {
-        const bool hadLine = mlcs[core]->contains(a);
-        if (coreInvalidate(core, a) && hadLine)
-            ++dropped;
+        bool mlcDropped = false;
+        coreInvalidate(core, a, &mlcDropped);
+        dropped += mlcDropped;
     }
     return dropped;
 }
@@ -574,7 +584,11 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
         return true;
     }
 
-    if (mlcs[core]->contains(addr))
+    // One MLC probe: a miss also yields the fill slot, which nothing
+    // below changes (only the LLC, DRAM and a directory read follow).
+    const TagArray::Probe mlcProbe =
+        mlcs[core]->tags().lookupOrFillSlot(addr);
+    if (mlcProbe.hit)
         return false;
 
     // A prefetch probe that finds the line owned by another core's
@@ -582,7 +596,9 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
     // stealing it on a speculative hint would thrash. (DMA hints never
     // hit this case — the inbound write already invalidated all MLC
     // copies — but the guard keeps the single-owner invariant under
-    // arbitrary usage.)
+    // arbitrary usage.) Past it the line has no directory entry: this
+    // core's MLC lacks it, so by directory consistency no bit is set,
+    // and installMlc adds the entry without a second lookup.
     if (dir->sharersOf(addr) & ~(std::uint64_t(1) << core))
         return false;
 
@@ -599,7 +615,7 @@ MemoryHierarchy::mlcPrefetch(sim::CoreId core, sim::Addr addr)
         return false;
     }
 
-    installMlc(core, addr, dirty, io, true);
+    installMlc(core, mlcProbe.slot, addr, dirty, io, true);
     return true;
 }
 

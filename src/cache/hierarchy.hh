@@ -82,10 +82,13 @@ class MemoryHierarchy : public sim::SimObject
      * line from the core's private caches (and, per configuration, the
      * LLC) without any writeback.
      *
+     * @param mlcDropped When non-null, set to whether an MLC line was
+     *        dropped.
      * @return false when the page is not marked Invalidatable (the
      *         modelled privacy fault; the drop is suppressed).
      */
-    bool coreInvalidate(sim::CoreId core, sim::Addr addr);
+    bool coreInvalidate(sim::CoreId core, sim::Addr addr,
+                        bool *mlcDropped = nullptr);
 
     /**
      * Invalidate every cacheline of [addr, addr+bytes); the multi-line
@@ -302,9 +305,14 @@ class MemoryHierarchy : public sim::SimObject
     /** @} */
 
   private:
-    /** Install a line into a core's MLC, handling victim + directory. */
-    void installMlc(sim::CoreId core, sim::Addr addr, bool dirty,
-                    bool io, bool isPrefetch);
+    /**
+     * Install a line into @p slot of a core's MLC (a fill slot for
+     * @p addr), handling victim + directory. A prefetch installs only
+     * lines its guards proved untracked, so its directory entry goes
+     * in without a second directory lookup.
+     */
+    void installMlc(sim::CoreId core, const LineRef &slot, sim::Addr addr,
+                    bool dirty, bool io, bool isPrefetch);
 
     /** Handle an MLC victim: merge L1, count, insert into LLC. */
     void evictMlcVictim(sim::CoreId core, CacheLine victim);

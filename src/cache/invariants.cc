@@ -141,6 +141,39 @@ checkDdioWayConfinement(MemoryHierarchy &hier,
     });
 }
 
+/** Every set of @p array (when it uses LRU) holds an age permutation. */
+void
+checkLruAges(const TagArray &array, const std::string &what,
+             sim::InvariantReport &report)
+{
+    const LruPolicy *lru = array.lru();
+    if (!lru)
+        return;
+    for (std::uint32_t s = 0; s < array.numSets(); ++s) {
+        if (!lru->agesArePermutation(s)) {
+            report.fail("LRU ages of set " + std::to_string(s) + " in " +
+                        what + " are not a permutation of 0.." +
+                        std::to_string(array.assoc() - 1));
+        }
+    }
+}
+
+void
+checkLruAgePermutations(MemoryHierarchy &hier,
+                        sim::InvariantReport &report)
+{
+    for (sim::CoreId c = 0; c < hier.numCores(); ++c) {
+        checkLruAges(hier.l1(c).tags(), "the L1 of core " +
+                                            std::to_string(c),
+                     report);
+        checkLruAges(hier.mlcOf(c).tags(), "the MLC of core " +
+                                               std::to_string(c),
+                     report);
+    }
+    checkLruAges(hier.llc().tags(), "the LLC", report);
+    checkLruAges(hier.directory().tags(), "the directory", report);
+}
+
 } // namespace
 
 void
@@ -165,6 +198,10 @@ registerCacheInvariants(sim::InvariantChecker &checker,
         "cache.ddio-way-confinement",
         [&hier](sim::InvariantReport &r) {
             checkDdioWayConfinement(hier, r);
+        });
+    checker.registerInvariant(
+        "cache.lru-ages-permutation", [&hier](sim::InvariantReport &r) {
+            checkLruAgePermutations(hier, r);
         });
 }
 

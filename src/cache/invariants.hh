@@ -15,6 +15,8 @@
  *    corresponds to a real MLC copy.
  *  - DDIO way confinement: every line placed by a DDIO
  *    write-allocation still sits inside the configured DDIO ways.
+ *  - LRU ages: in every LRU-managed array, each set's recency ages
+ *    are a permutation of 0..assoc-1 (see LruPolicy).
  */
 
 #ifndef IDIO_CACHE_INVARIANTS_HH

@@ -5,6 +5,8 @@
 
 #include "replacement.hh"
 
+#include <array>
+
 #include "ckpt/serializer.hh"
 #include "sim/logging.hh"
 
@@ -14,8 +16,40 @@ namespace cache
 void
 LruPolicy::init(std::uint32_t numSets, std::uint32_t a)
 {
+    SIM_ASSERT(a >= 1 && a <= 64, "LRU ages need 1..64 ways");
     assoc = a;
-    stamps.assign(std::size_t(numSets) * assoc, 0);
+    wordsPerSet = (a + 7) / 8;
+    allWays = lowWays(a);
+    // One set's initial words, then that pattern copied to every set.
+    std::array<std::uint64_t, 8> pattern{};
+    for (std::uint32_t b = 0; b < 8 * wordsPerSet; ++b) {
+        const std::uint64_t age = b < a ? a - 1 - b : padAge;
+        pattern[b >> 3] |= age << (8 * (b & 7));
+    }
+    ages.clear();
+    ages.reserve(std::size_t(numSets) * wordsPerSet);
+    for (std::uint32_t set = 0; set < numSets; ++set)
+        ages.insert(ages.end(), pattern.begin(),
+                    pattern.begin() + wordsPerSet);
+}
+
+bool
+LruPolicy::agesArePermutation(std::uint32_t set) const
+{
+    const std::uint64_t *a = setAges(set);
+    WayMask seen = 0;
+    for (std::uint32_t w = 0; w < 8 * wordsPerSet; ++w) {
+        const std::uint32_t age = ageOf(a, w);
+        if (w >= assoc) {
+            if (age != padAge)
+                return false;
+        } else if (age >= assoc || (seen >> age & 1)) {
+            return false;
+        } else {
+            seen |= WayMask(1) << age;
+        }
+    }
+    return true;
 }
 
 void
@@ -84,20 +118,25 @@ SrripPolicy::victim(std::uint32_t set, WayMask candidates)
 void
 LruPolicy::serialize(ckpt::Serializer &s) const
 {
-    s.writeU64(clock);
-    s.writePodVec(stamps);
+    s.writePodVec(ages);
 }
 
 void
 LruPolicy::unserialize(ckpt::Deserializer &d)
 {
-    clock = d.readU64();
-    const auto restored = d.readPodVec<std::uint64_t>();
-    if (restored.size() != stamps.size())
-        sim::fatal("ckpt: LRU stamp count mismatch (checkpoint %zu, "
+    auto restored = d.readPodVec<std::uint64_t>();
+    if (restored.size() != ages.size())
+        sim::fatal("ckpt: LRU age word count mismatch (checkpoint %zu, "
                    "array %zu)",
-                   restored.size(), stamps.size());
-    stamps = restored;
+                   restored.size(), ages.size());
+    ages = std::move(restored);
+    const auto sets = static_cast<std::uint32_t>(ages.size() / wordsPerSet);
+    for (std::uint32_t set = 0; set < sets; ++set) {
+        if (!agesArePermutation(set))
+            sim::fatal("ckpt: LRU ages of set %u are not a permutation "
+                       "of 0..%u",
+                       set, assoc - 1);
+    }
 }
 
 void

@@ -98,11 +98,23 @@ class ReplacementPolicy
 };
 
 /**
- * Least-recently-used via per-way 64-bit use stamps.
+ * Least-recently-used via one recency age byte per way.
+ *
+ * Each set's ages are a permutation of 0..assoc-1, 0 the most recent,
+ * packed eight to a 64-bit word: byte b of word i is way 8*i + b, and
+ * a set owns ceil(assoc/8) consecutive words. Bytes past the last way
+ * hold padAge, which no touch moves and no victim scan picks. Ages
+ * start at assoc-1-w, so never-touched ways are older than every
+ * touched one and the lowest never-touched way is the oldest: victims
+ * equal those of a global use-stamp clock whose zero stamps tie-break
+ * to the lowest way.
  */
 class LruPolicy : public ReplacementPolicy
 {
   public:
+    /** Age of the padding bytes: above every real age (assoc <= 64). */
+    static constexpr std::uint8_t padAge = 127;
+
     ReplKind kind() const override { return ReplKind::Lru; }
     void init(std::uint32_t numSets, std::uint32_t assoc) override;
     void touch(std::uint32_t set, std::uint32_t way) override
@@ -117,28 +129,55 @@ class LruPolicy : public ReplacementPolicy
 
     /** @{ Non-virtual fast paths used by TagArray's devirtualized
      * dispatch (semantics identical to the virtual entry points). */
+
+    /**
+     * Make @p way the most recent: every age below its age goes up by
+     * one, eight bytes per word operation, then its age becomes 0.
+     */
     void
     touchFast(std::uint32_t set, std::uint32_t way)
     {
-        stamps[std::size_t(set) * assoc + way] = ++clock;
+        std::uint64_t *a = setAges(set);
+        std::uint64_t &own = a[way >> 3];
+        const unsigned shift = 8 * (way & 7);
+        const std::uint64_t age = (own >> shift) & 0xff;
+        // Every byte is < 0x80, so (x | 0x80) - age borrows across no
+        // byte and leaves bit 7 clear exactly where x < age.
+        for (std::uint32_t i = 0; i < wordsPerSet; ++i) {
+            const std::uint64_t below =
+                ~((a[i] | byteHigh) - age * byteOne) & byteHigh;
+            a[i] += below >> 7;
+        }
+        own &= ~(std::uint64_t(0xff) << shift);
     }
 
+    /** The candidate with the largest age (the least recent). */
     std::uint32_t
     victimFast(std::uint32_t set, WayMask candidates) const
     {
+        candidates &= allWays;
         SIM_ASSERT(candidates != 0, "empty candidate mask");
-        const std::uint64_t *s = &stamps[std::size_t(set) * assoc];
-        // Iterate candidate bits only; strict < keeps the lowest
-        // eligible way among equal stamps (any deterministic rule
-        // works, but this matches the historical scan order).
-        std::uint32_t best =
-            static_cast<std::uint32_t>(std::countr_zero(candidates));
-        std::uint64_t bestStamp = ~std::uint64_t(0);
+        const std::uint64_t *a = setAges(set);
+        if (candidates == allWays) {
+            // The oldest way is the one byte equal to assoc-1; the
+            // lowest flagged byte of the zero-byte test is exact.
+            const std::uint64_t oldest = (assoc - 1) * byteOne;
+            for (std::uint32_t i = 0; i < wordsPerSet; ++i) {
+                const std::uint64_t x = a[i] ^ oldest;
+                const std::uint64_t zero = (x - byteOne) & ~x & byteHigh;
+                if (zero != 0)
+                    return 8 * i + static_cast<std::uint32_t>(
+                                       std::countr_zero(zero) >> 3);
+            }
+        }
+        std::uint32_t best = 0;
+        std::uint32_t bestAge = 0;
         for (WayMask m = candidates; m != 0; m &= m - 1) {
             const auto w =
                 static_cast<std::uint32_t>(std::countr_zero(m));
-            if (s[w] < bestStamp) {
-                bestStamp = s[w];
+            const std::uint32_t age = ageOf(a, w);
+            if (age >= bestAge) {
+                bestAge = age;
                 best = w;
             }
         }
@@ -146,13 +185,49 @@ class LruPolicy : public ReplacementPolicy
     }
     /** @} */
 
+    /** Age of (set, way): 0 = most recent, assoc-1 = least. */
+    std::uint32_t
+    age(std::uint32_t set, std::uint32_t way) const
+    {
+        return ageOf(setAges(set), way);
+    }
+
+    /**
+     * True when @p set 's ages are a permutation of 0..assoc-1 and its
+     * padding bytes hold padAge (the runtime invariant and the
+     * checkpoint restore check).
+     */
+    bool agesArePermutation(std::uint32_t set) const;
+
     void serialize(ckpt::Serializer &s) const override;
     void unserialize(ckpt::Deserializer &d) override;
 
   private:
+    friend struct LruPolicyTestAccess;
+
+    static constexpr std::uint64_t byteOne = 0x0101010101010101ull;
+    static constexpr std::uint64_t byteHigh = 0x8080808080808080ull;
+
+    static std::uint32_t
+    ageOf(const std::uint64_t *a, std::uint32_t way)
+    {
+        return static_cast<std::uint32_t>(
+            (a[way >> 3] >> (8 * (way & 7))) & 0xff);
+    }
+
+    std::uint64_t *setAges(std::uint32_t set)
+    {
+        return &ages[std::size_t(set) * wordsPerSet];
+    }
+    const std::uint64_t *setAges(std::uint32_t set) const
+    {
+        return &ages[std::size_t(set) * wordsPerSet];
+    }
+
     std::uint32_t assoc = 0;
-    std::uint64_t clock = 0;
-    std::vector<std::uint64_t> stamps; // numSets * assoc
+    std::uint32_t wordsPerSet = 0; ///< ceil(assoc / 8)
+    WayMask allWays = 0;           ///< lowWays(assoc)
+    std::vector<std::uint64_t> ages; ///< numSets * wordsPerSet words
 };
 
 /**

@@ -122,16 +122,8 @@ TagArray::serialize(ckpt::Serializer &s,
                "one sharer mask per slot");
     s.writeU32(nSets);
     s.writeU32(nWays);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        const CacheLine l = SlotBits::decode(slots[i]);
-        s.writeU64(l.addr);
-        s.writeBool(l.valid);
-        s.writeBool(l.dirty);
-        s.writeBool(l.io);
-        s.writeBool(l.prefetched);
-        s.writeBool(l.ddioAlloc);
-        s.writeU64(sharers.empty() ? 0 : sharers[i]);
-    }
+    s.writePodVec(slots);
+    s.writePodSpan(sharers);
     policy->serialize(s);
 }
 
@@ -148,30 +140,33 @@ TagArray::unserialize(ckpt::Deserializer &d,
                    "%ux%u, config %ux%u)",
                    sets, ways, nSets, nWays);
     }
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        CacheLine l;
-        l.addr = d.readU64();
-        l.valid = d.readBool();
-        l.dirty = d.readBool();
-        l.io = d.readBool();
-        l.prefetched = d.readBool();
-        l.ddioAlloc = d.readBool();
-        const std::uint64_t mask = d.readU64();
-        if (!mem::isLineAligned(l.addr)) {
+    auto words = d.readPodVec<std::uint64_t>();
+    if (words.size() != slots.size()) {
+        sim::fatal("ckpt: tag-array slot count mismatch (checkpoint "
+                   "%zu, config %zu)",
+                   words.size(), slots.size());
+    }
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        if (words[i] & (mem::lineSize - 1) & ~SlotBits::flagMask) {
             sim::fatal("ckpt: tag-array slot %zu holds unaligned "
                        "address %#llx",
-                       i, (unsigned long long)l.addr);
+                       i, (unsigned long long)(words[i] &
+                                               ~SlotBits::flagMask));
         }
-        if (sharers.empty()) {
-            if (mask != 0)
-                sim::fatal("ckpt: sharer mask on a non-directory tag "
-                           "array (slot %zu)",
-                           i);
-        } else {
-            sharers[i] = mask;
-        }
-        slots[i] = SlotBits::encode(l);
     }
+    const auto masks = d.readPodVec<std::uint64_t>();
+    if (sharers.empty() && !masks.empty()) {
+        sim::fatal("ckpt: sharer masks on a non-directory tag array "
+                   "(%zu masks)",
+                   masks.size());
+    }
+    if (masks.size() != sharers.size()) {
+        sim::fatal("ckpt: sharer mask count mismatch (checkpoint %zu, "
+                   "directory %zu)",
+                   masks.size(), sharers.size());
+    }
+    std::copy(masks.begin(), masks.end(), sharers.begin());
+    slots = std::move(words);
     // Rebuild the derived free-way masks.
     for (std::uint32_t set = 0; set < nSets; ++set) {
         WayMask free = 0;

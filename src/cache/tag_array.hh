@@ -74,15 +74,10 @@ inline constexpr std::uint64_t ddioAlloc = 1u << 4;
 /** Bits a lookup compares: the address plus `invalid`. */
 inline constexpr std::uint64_t keyMask =
     ~(dirty | io | prefetched | ddioAlloc);
+/** Every flag; the other line-offset bits of a slot word are 0. */
+inline constexpr std::uint64_t flagMask =
+    invalid | dirty | io | prefetched | ddioAlloc;
 static_assert(mem::lineSize >= 32, "flags must fit the offset bits");
-
-constexpr std::uint64_t
-encode(const CacheLine &l)
-{
-    return l.addr | (l.valid ? 0 : invalid) | (l.dirty ? dirty : 0) |
-           (l.io ? io : 0) | (l.prefetched ? prefetched : 0) |
-           (l.ddioAlloc ? ddioAlloc : 0);
-}
 
 constexpr CacheLine
 decode(std::uint64_t w)
@@ -336,14 +331,18 @@ class TagArray
     /** The replacement policy (for tests). */
     ReplacementPolicy &replacementPolicy() { return *policy; }
 
+    /** The LRU policy, or null when the array uses another one. */
+    const LruPolicy *lru() const { return lruFast; }
+
     /**
-     * @{ Checkpoint the array contents plus the policy state. Each slot
-     * is written decoded: addr, valid, dirty, io, prefetched,
-     * ddioAlloc, then its sharer mask — taken from @p sharers (one per
-     * slot, the directory's) or 0 when empty. The geometry is
-     * structural (rebuilt from config); unserialize validates it,
-     * fills @p sharers (a non-directory array rejects nonzero masks)
-     * and recomputes the free-way masks.
+     * @{ Checkpoint the array contents plus the policy state: the
+     * geometry, then the slot words and @p sharers (one mask per
+     * slot, the directory's; empty for a cache) as plain-data
+     * vectors, then the policy's state (LRU: its age words). The
+     * geometry is structural (rebuilt from config); unserialize
+     * validates it and the slot words, fills @p sharers (a
+     * non-directory array rejects any masks) and recomputes the
+     * free-way masks.
      */
     void serialize(ckpt::Serializer &s,
                    std::span<const std::uint64_t> sharers = {}) const;

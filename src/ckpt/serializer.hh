@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -63,8 +64,11 @@ namespace ckpt
  * v3: _eventq sections carry the scheduler backend tag, the timing-
  * wheel base tick and the wheel geometry (levels, slot bits), and
  * link-channel sections store batched delivery records.
+ * v4: tag arrays store their slot words, sharer masks and LRU age
+ * words as three plain-data vectors (no per-slot fields, no LRU
+ * clock).
  */
-constexpr std::uint32_t formatVersion = 3;
+constexpr std::uint32_t formatVersion = 4;
 
 /** File magic, first 8 bytes of every checkpoint. */
 constexpr std::array<char, 8> magic = {'I', 'D', 'I', 'O',
@@ -120,16 +124,27 @@ class Serializer
         writeBytes(s.data(), s.size());
     }
 
+    /**
+     * Length-prefixed run of trivially copyable elements, written as
+     * one block; readPodVec() reads it back into a vector.
+     */
+    template <typename T>
+    void
+    writePodSpan(std::span<const T> v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "writePodSpan requires a trivially copyable T");
+        writeU64(v.size());
+        if (!v.empty())
+            writeBytes(v.data(), v.size() * sizeof(T));
+    }
+
     /** Length-prefixed vector of trivially copyable elements. */
     template <typename T>
     void
     writePodVec(const std::vector<T> &v)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "writePodVec requires a trivially copyable T");
-        writeU64(v.size());
-        if (!v.empty())
-            writeBytes(v.data(), v.size() * sizeof(T));
+        writePodSpan(std::span<const T>(v));
     }
 
     /** vector<bool> (bit-packed in memory) as one byte per element. */

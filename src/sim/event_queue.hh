@@ -13,13 +13,18 @@
  *
  *  - TimingWheel (default): a hierarchical timing wheel — three
  *    levels of 256 slots each (8 bits of tick per level, 2^24 ticks
- *    of horizon). Level-0 slots cover exactly one tick, so a slot IS
- *    the same-tick dispatch batch: schedule, deschedule and pop are
- *    O(1) for the short-horizon events that dominate the workload
- *    (per-cacheline DMA completions, 250–500 ns link hops, ring
- *    polls, 1 us telemetry). Events beyond the horizon spill to a
- *    binary-heap overflow level and are pulled back into the wheel
- *    when the wheel base crosses into their 2^24 block.
+ *    of horizon, ~16.8 us at 1 ps ticks). Level-0 slots cover exactly
+ *    one tick, so a slot IS the same-tick dispatch batch. Schedule
+ *    and deschedule are O(1) within the horizon, but only events
+ *    less than 256 ps ahead land in level 0 directly. The 4–500 ns
+ *    events that dominate the workload (per-cacheline DMA
+ *    completions, cache latencies, 250–500 ns link hops) land in
+ *    level 1 (up to ~65.5 ns ahead) or level 2 (up to ~16.8 us, as
+ *    does 1 us telemetry) and are cascaded down one level at a time
+ *    as the wheel base reaches their slot, so most schedules pay one
+ *    or two cascades before they fire. Events beyond the horizon
+ *    spill to a binary-heap overflow level and are pulled back into
+ *    the wheel when the wheel base crosses into their 2^24 block.
  *  - BinaryHeap: the reference std::push_heap/std::pop_heap
  *    implementation, kept for the differential scheduler tests and
  *    the nightly backend comparison (IDIO_EVENTQ=heap).
@@ -416,7 +421,7 @@ class EventQueue
     friend struct EventQueueRestoreAccess;
 
     // Wheel geometry: three levels of 256 one-per-2^(8*level)-tick
-    // slots cover 2^24 ticks (~16.8 ms at 1 ns ticks) of horizon;
+    // slots cover 2^24 ticks (~16.8 us at 1 ps ticks) of horizon;
     // later events spill to the overflow heap. The geometry constants
     // are recorded in checkpoints and validated eagerly on restore.
     static constexpr unsigned slotBits = 8;

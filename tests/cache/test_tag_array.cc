@@ -1,8 +1,9 @@
 /**
  * @file
  * TagArray tests: lookups, fills, masked fill slots, capacity, the
- * packed slot word against a plain reference model, and the
- * multiply-shift set-index reduction.
+ * packed slot word and the per-set LRU ages against plain reference
+ * models (64-bit use stamps), and the multiply-shift set-index
+ * reduction.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "cache/directory.hh"
+#include "cache/replacement.hh"
 #include "cache/tag_array.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
@@ -288,6 +290,31 @@ expectSameState(const TagArray &a, RefArray &r)
     }
 }
 
+/**
+ * A victim candidate mask as the hierarchy builds them: all ways, a
+ * DDIO partition (the low ways), a CAT allocation (a contiguous run)
+ * or an arbitrary nonempty subset.
+ */
+cache::WayMask
+candidateMask(sim::Rng &rng, std::uint32_t ways)
+{
+    switch (rng.below(4)) {
+      case 0:
+        return ~cache::WayMask(0);
+      case 1:
+        return cache::lowWays(1 + std::uint32_t(rng.below(ways)));
+      case 2: {
+        const auto lo = std::uint32_t(rng.below(ways));
+        const auto n = 1 + std::uint32_t(rng.below(ways - lo));
+        return cache::lowWays(n) << lo;
+      }
+      default: {
+        const cache::WayMask m = rng.next() & cache::lowWays(ways);
+        return m != 0 ? m : cache::WayMask(1) << rng.below(ways);
+      }
+    }
+}
+
 /** Random op mix on the packed array and the model, in lockstep. */
 void
 runDifferential(std::uint32_t sets, std::uint32_t ways,
@@ -306,12 +333,7 @@ runDifferential(std::uint32_t sets, std::uint32_t ways,
             line |= (std::uint64_t(1) << 57) | (rng.next() >> 8 << 20);
         return (line << mem::lineShift) | rng.below(mem::lineSize);
     };
-    auto randomMask = [&]() -> cache::WayMask {
-        if (rng.below(2) == 0)
-            return ~cache::WayMask(0);
-        cache::WayMask m = rng.next() & cache::lowWays(ways);
-        return m != 0 ? m : cache::WayMask(1) << rng.below(ways);
-    };
+    auto randomMask = [&]() { return candidateMask(rng, ways); };
 
     for (int op = 0; op < 20000; ++op) {
         const sim::Addr addr = randomAddr();
@@ -403,6 +425,86 @@ TEST(TagArrayDifferential, NonPowerOfTwoSetsMatchReferenceModel)
     runDifferential(12, 6, 4);
     runDifferential(3, 16, 5);
     runDifferential(23, 3, 6);
+}
+
+TEST(TagArrayDifferential, LlcAndDirectoryAssociativitiesMatch)
+{
+    runDifferential(8, 2, 7);
+    runDifferential(6, 12, 8);
+    runDifferential(4, 33, 9);
+    runDifferential(5, 11, 10);
+}
+
+/**
+ * LruPolicy on its own against a global 64-bit use-stamp clock (zero
+ * stamps = never touched, ties to the lowest way): sparse touches
+ * leave many ways untouched, so victims often fall among them. The
+ * full age state is compared after every operation.
+ */
+void
+runLruDifferential(std::uint32_t sets, std::uint32_t ways,
+                   std::uint64_t seed)
+{
+    cache::LruPolicy lru;
+    lru.init(sets, ways);
+    std::vector<std::uint64_t> stamps(std::size_t(sets) * ways, 0);
+    std::uint64_t clock = 0;
+    sim::Rng rng(seed);
+
+    auto stamp = [&](std::uint32_t s, std::uint32_t w) {
+        return stamps[std::size_t(s) * ways + w];
+    };
+    // Recency rank of w: the ways used after it, or never-touched
+    // ways above it, are more recent.
+    auto refAge = [&](std::uint32_t s, std::uint32_t w) {
+        std::uint32_t age = 0;
+        for (std::uint32_t v = 0; v < ways; ++v) {
+            if (stamp(s, v) > stamp(s, w) ||
+                (stamp(s, v) == 0 && stamp(s, w) == 0 && v > w))
+                ++age;
+        }
+        return age;
+    };
+    auto refVictim = [&](std::uint32_t s, cache::WayMask cand) {
+        std::uint32_t best = ways;
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if ((cand >> w & 1) &&
+                (best == ways || stamp(s, w) < stamp(s, best)))
+                best = w;
+        }
+        return best;
+    };
+
+    for (int op = 0; op < 4000; ++op) {
+        const auto s = std::uint32_t(rng.below(sets));
+        if (rng.below(3) == 0) {
+            // Concentrate touches on a few ways so others stay cold.
+            const auto w = std::uint32_t(
+                rng.below(rng.below(2) ? ways : (ways + 3) / 4));
+            lru.touch(s, w);
+            stamps[std::size_t(s) * ways + w] = ++clock;
+        } else {
+            const cache::WayMask cand = candidateMask(rng, ways);
+            ASSERT_EQ(lru.victim(s, cand),
+                      refVictim(s, cand & cache::lowWays(ways)))
+                << "op " << op << " set " << s << " mask " << cand;
+        }
+        for (std::uint32_t w = 0; w < ways; ++w)
+            ASSERT_EQ(lru.age(s, w), refAge(s, w))
+                << "op " << op << " set " << s << " way " << w;
+        ASSERT_TRUE(lru.agesArePermutation(s));
+    }
+}
+
+TEST(LruDifferential, AgesMatchAStampClockAtEveryAssociativity)
+{
+    std::uint64_t seed = 100;
+    for (const std::uint32_t ways : {1u, 2u, 8u, 12u, 16u, 33u, 64u}) {
+        SCOPED_TRACE(ways);
+        runLruDifferential(3, ways, ++seed);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
 }
 
 TEST(SetReducer, EqualsModuloOnEdgeAndRandomLines)

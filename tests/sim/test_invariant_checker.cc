@@ -18,6 +18,21 @@
 
 #include "../cache/hierarchy_fixture.hh"
 
+namespace cache
+{
+
+/** Raw LRU age storage, for corrupting it on purpose. */
+struct LruPolicyTestAccess
+{
+    static std::uint64_t &
+    firstAgeWord(LruPolicy &lru, std::uint32_t set)
+    {
+        return *lru.setAges(set);
+    }
+};
+
+} // namespace cache
+
 namespace
 {
 
@@ -193,6 +208,26 @@ TEST_F(CacheCorruptionDeathTest, DdioLineOutsideThePartitionPanics)
     slot.setDdioAlloc(true);
 
     EXPECT_DEATH(chk.check(), "DDIO partition");
+}
+
+TEST_F(CacheCorruptionDeathTest, LruAgesThatAreNotAPermutationPanic)
+{
+    if (!InvariantChecker::compiledIn)
+        GTEST_SKIP() << "checker compiled out";
+
+    // Give way 1 of one MLC set way 0's age: the set's recency order
+    // is no longer a permutation.
+    hier.coreRead(0, 0x5000);
+    cache::TagArray &tags = hier.mlcOf(0).tags();
+    ASSERT_GE(tags.assoc(), 2u);
+    const std::uint32_t set = tags.setIndex(0x5000);
+    std::uint64_t &word = cache::LruPolicyTestAccess::firstAgeWord(
+        static_cast<cache::LruPolicy &>(tags.replacementPolicy()), set);
+    word = (word & ~std::uint64_t(0xff00)) | (word & 0xff) << 8;
+
+    EXPECT_DEATH(chk.check(), "LRU ages of set " + std::to_string(set) +
+                                  " in the MLC of core 0 are not a "
+                                  "permutation");
 }
 
 TEST_F(CacheCorruptionDeathTest, ShrinkingThePartitionGrandfathersLines)

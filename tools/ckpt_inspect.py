@@ -19,7 +19,7 @@ import struct
 import sys
 
 MAGIC = b"IDIOCKPT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 BACKEND_NAMES = {0: "wheel", 1: "heap"}
 
 FNV_OFFSET = 0xCBF29CE484222325
